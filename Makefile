@@ -87,6 +87,7 @@ cover:
 
 fuzz:
 	$(GO) test -fuzz=FuzzThresholdDecision -fuzztime=30s ./internal/core/
+	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,6 +54,7 @@ import (
 	"tcast/internal/rng"
 	"tcast/internal/serve"
 	"tcast/internal/trace"
+	"tcast/internal/trial"
 )
 
 // BENCH.json schema identifiers; bump Version on breaking shape changes.
@@ -562,22 +562,6 @@ func serveBench(conc int) bench {
 	}
 }
 
-// trialState is the pooled per-trial scratch of the trial benchmarks — the
-// channel, the session arena, and the trial's derived RNG streams — mirroring
-// the sweep driver's pool so the bare benchmark prices the same
-// allocation-free hot path the figures run on.
-type trialState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	// aud is recycled across audited trials, mirroring the sweep driver:
-	// Reset re-grades in place and nothing reads the verdict's node
-	// account after the trial, so the pooled store is never observed stale.
-	aud *audit.Auditor
-}
-
-var trialPool = sync.Pool{New: func() any { return new(trialState) }}
-
 // obsLayer selects the observability stack of a trialsBench entry.
 type obsLayer int
 
@@ -587,110 +571,101 @@ const (
 	obsAudited
 )
 
-// trialsBench is the parallel-observability trio: one op is one 2tBins
-// trial (n=128, t=16, x=16) run through experiment.RunTrials at full
-// worker parallelism, with the chosen layer stacked exactly as the sweep
-// driver stacks it. Trials are batched like sweep points — a fresh trace
-// builder grafted (or the audit batch flushed) every 1000 trials — so the
-// measured cost includes the fork/graft bookkeeping and memory stays
-// bounded at any b.N. The deltas between the three entries are the traced
-// and audited overheads per trial; against a serial baseline the
-// trials/sec column shows the parallel speedup.
-func trialsBench(name string, layer obsLayer) bench {
-	const n, t, x, batch = 128, 16, 16, 1000
+// costModel is the traced pass shared by the trial benchmarks: trial 0 of
+// seed 1 run once through stack with a fresh span builder, its polls and
+// virtual slots read back from the trace. sub draws the trial's substrate
+// from the trial stream; the algorithm runs on Split(stream).
+func costModel(stack trial.Stack, alg core.Algorithm, n, t, x int, stream uint64, sub func(st *trial.State, r *rng.Source) (query.Querier, error)) func() (int64, int64, error) {
+	return func() (int64, int64, error) {
+		stack.Trace = trace.NewBuilder()
+		var r rng.Source
+		rng.New(1).SplitInto(0, &r)
+		var st trial.State
+		q, err := sub(&st, &r)
+		if err != nil {
+			return 0, 0, err
+		}
+		if _, err := stack.Run(&st, q, alg, &r, trial.Trial{N: n, T: t, X: x, Stream: stream}); err != nil {
+			return 0, 0, err
+		}
+		stack.Trace.Graft()
+		a := trace.Analyze(stack.Trace.Trace())
+		return int64(a.Polls), a.Slots, nil
+	}
+}
+
+// channel is costModel's abstract-channel substrate.
+func channel(n, x int, cfg fastsim.Config) func(*trial.State, *rng.Source) (query.Querier, error) {
+	return func(st *trial.State, r *rng.Source) (query.Querier, error) {
+		return st.Channel(n, x, cfg, r), nil
+	}
+}
+
+// The pooled trial benchmarks run 2tBins at n=128 with t = x = 16.
+const poolN, poolT, poolX = 128, 16, 16
+
+// runPooled runs total pooled 2tBins trials through experiment.RunTrials
+// at full worker parallelism, as the sweep driver runs them, batched like
+// sweep points so memory stays bounded at any total. batch builds each
+// batch's stack and returns its close-out (a graft or a flush).
+func runPooled(total int, batch func() (*trial.Stack, func())) error {
+	const size = 1000
 	cfg := fastsim.DefaultConfig()
-	trial := func(builder *trace.Builder, col *audit.Collector) func(i int, r *rng.Source) (float64, error) {
-		return func(i int, r *rng.Source) (float64, error) {
-			st := trialPool.Get().(*trialState)
-			defer trialPool.Put(st)
-			r.SplitInto(1, &st.chr)
-			st.ch.ResetRandom(n, x, cfg, &st.chr)
-			var q query.Querier = &st.ch
-			var aud *audit.Auditor
-			if col != nil {
-				acfg := audit.Config{N: n, T: t}
-				var err error
-				if st.aud == nil {
-					st.aud, err = audit.New(q, acfg)
-				} else {
-					err = st.aud.Reset(q, acfg)
-				}
-				if err != nil {
-					return 0, err
-				}
-				aud = st.aud
-				q = aud
-			}
-			var fb *trace.Builder
-			var sq *trace.SpanQuerier
-			if builder != nil {
-				fb = builder.Fork(i)
-				fb.Begin(trace.KindTrial, "trial")
-				sq = trace.NewSpanQuerier(q, fb)
-				sq.StartSession("2tBins")
-				q = sq
-			}
-			r.SplitInto(2, &st.algr)
-			res, err := (core.TwoTBins{}).RunIn(&st.arena, q, n, t, &st.algr)
+	workers := runtime.GOMAXPROCS(0)
+	for done, seed := 0, uint64(1); done < total; seed++ {
+		m := min(total-done, size)
+		stack, closeOut := batch()
+		_, err := experiment.RunTrials(m, workers, rng.New(seed), func(i int, r *rng.Source) (float64, error) {
+			st := trial.Get()
+			defer trial.Put(st)
+			sess, err := stack.Run(st, st.Channel(poolN, poolX, cfg, r), core.TwoTBins{}, r,
+				trial.Trial{Index: i, Label: "2tBins", N: poolN, T: poolT, X: poolX, Stream: 2})
 			if err != nil {
 				return 0, err
 			}
-			if aud != nil {
-				col.AddAt(i, "2tBins", aud.Finish(res.Decision))
-			}
-			if sq != nil {
-				sq.EndSession()
-				fb.End()
-			}
-			return float64(res.Queries), nil
+			return float64(sess.Result.Queries), nil
+		})
+		if err != nil {
+			return err
 		}
+		closeOut()
+		done += m
 	}
+	return nil
+}
+
+// trialsBench is the parallel-observability trio: one op is one 2tBins
+// trial (n=128, t=16, x=16) run through experiment.RunTrials at full
+// worker parallelism, with the chosen layer stacked by the trial builder
+// exactly as the sweep driver stacks it. Trials are batched like sweep
+// points — a fresh trace builder grafted (or the audit batch flushed)
+// every 1000 trials — so the measured cost includes the fork/graft
+// bookkeeping and memory stays bounded at any b.N. The deltas between the
+// three entries are the traced and audited overheads per trial; against a
+// serial baseline the trials/sec column shows the parallel speedup.
+func trialsBench(name string, layer obsLayer) bench {
 	return bench{
 		name:     name,
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			workers := runtime.GOMAXPROCS(0)
-			var col *audit.Collector
-			if layer == obsAudited {
-				col = &audit.Collector{}
+			col := &audit.Collector{}
+			batch := func() (*trial.Stack, func()) {
+				switch layer {
+				case obsTraced:
+					tb := trace.NewBuilder()
+					return &trial.Stack{Trace: tb}, tb.Graft
+				case obsAudited:
+					return &trial.Stack{Audit: col}, col.Flush
+				}
+				return &trial.Stack{}, func() {}
 			}
 			b.ReportAllocs()
-			for done, seed := 0, uint64(1); done < b.N; seed++ {
-				m := b.N - done
-				if m > batch {
-					m = batch
-				}
-				var builder *trace.Builder
-				if layer == obsTraced {
-					builder = trace.NewBuilder()
-				}
-				if _, err := experiment.RunTrials(m, workers, rng.New(seed), trial(builder, col)); err != nil {
-					b.Fatal(err)
-				}
-				if builder != nil {
-					builder.Graft()
-				}
-				if col != nil {
-					col.Flush()
-				}
-				done += m
+			if err := runPooled(b.N, batch); err != nil {
+				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single traced session.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		traced: costModel(trial.Stack{}, core.TwoTBins{}, poolN, poolT, poolX, 2, channel(poolN, poolX, fastsim.DefaultConfig())),
 	}
 }
 
@@ -701,60 +676,24 @@ func trialsBench(name string, layer obsLayer) bench {
 // overhead per trial. Decisions are not checked — under injected faults
 // some are wrong by design; the trial only has to complete.
 func faultedTrialsBench(spec string) bench {
-	const n, t, x, batch = 128, 16, 16, 1000
-	cfg := fastsim.DefaultConfig()
 	fcfg, err := faults.ParseSpec(spec)
 	if err != nil {
 		fatal(fmt.Errorf("-faults: %w", err))
 	}
-	retry := query.RetryPolicy{MaxRetries: 2, Backoff: 1}
-	trial := func(i int, r *rng.Source) (float64, error) {
-		st := trialPool.Get().(*trialState)
-		defer trialPool.Put(st)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, x, cfg, &st.chr)
-		q := query.WithRetry(faults.New(&st.ch, fcfg, n, r.Split(9)), retry)
-		r.SplitInto(2, &st.algr)
-		res, err := (core.TwoTBins{}).RunIn(&st.arena, q, n, t, &st.algr)
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Queries), nil
-	}
+	stack := trial.Stack{Faults: &fcfg, Retry: query.RetryPolicy{MaxRetries: 2, Backoff: 1}}
 	return bench{
 		name:     "query-2tbins-faulted",
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			workers := runtime.GOMAXPROCS(0)
 			b.ReportAllocs()
-			for done, seed := 0, uint64(1); done < b.N; seed++ {
-				m := b.N - done
-				if m > batch {
-					m = batch
-				}
-				if _, err := experiment.RunTrials(m, workers, rng.New(seed), trial); err != nil {
-					b.Fatal(err)
-				}
-				done += m
+			if err := runPooled(b.N, func() (*trial.Stack, func()) { return &stack, func() {} }); err != nil {
+				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// One faulted traced session; the span recorder discovers the
-			// retry middleware's slot meter, so backoff slots are priced in.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			q := query.WithRetry(faults.New(ch, fcfg, n, r.Split(9)), retry)
-			sq := trace.NewSpanQuerier(q, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		// The span recorder discovers the retry middleware's slot meter,
+		// so backoff slots are priced in.
+		traced: costModel(stack, core.TwoTBins{}, poolN, poolT, poolX, 2, channel(poolN, poolX, fastsim.DefaultConfig())),
 	}
 }
 
@@ -766,32 +705,18 @@ func algBench(name string, alg core.Algorithm, n, t, x int, cfg fastsim.Config) 
 		short: true,
 		fn: func(b *testing.B) {
 			root := rng.New(1)
-			var st trialState
+			bare := &trial.Stack{}
+			var st trial.State
 			var r rng.Source
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				root.SplitInto(uint64(i), &r)
-				r.SplitInto(1, &st.chr)
-				st.ch.ResetRandom(n, x, cfg, &st.chr)
-				r.SplitInto(2, &st.algr)
-				if _, err := core.RunIn(&st.arena, alg, &st.ch, n, t, &st.algr); err != nil {
+				if _, err := bare.Run(&st, st.Channel(n, x, cfg, &r), alg, &r, trial.Trial{Index: i, N: n, T: t, X: x, Stream: 2}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		},
-		traced: func() (int64, int64, error) {
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession(alg.Name())
-			if _, err := alg.Run(sq, n, t, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		traced: costModel(trial.Stack{}, alg, n, t, x, 2, channel(n, x, cfg)),
 	}
 }
 
@@ -828,7 +753,7 @@ func csmaBench() bench {
 // packetBench times 2tBins over the packet-level backcast radio; the
 // traced pass rides the session's own slot meter (3 slots per query).
 func packetBench() bench {
-	session := func(r *rng.Source) (*pollcast.Session, error) {
+	session := func(_ *trial.State, r *rng.Source) (query.Querier, error) {
 		parts := make([]*pollcast.Participant, 64)
 		for id := range parts {
 			parts[id] = &pollcast.Participant{ID: id}
@@ -847,7 +772,7 @@ func packetBench() bench {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				r := root.Split(uint64(i))
-				sess, err := session(r)
+				sess, err := session(nil, r)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -856,22 +781,7 @@ func packetBench() bench {
 				}
 			}
 		},
-		traced: func() (int64, int64, error) {
-			r := rng.New(1).Split(0)
-			sess, err := session(r)
-			if err != nil {
-				return 0, 0, err
-			}
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(sess, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, 64, 8, r.Split(3)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		traced: costModel(trial.Stack{}, core.TwoTBins{}, 64, 8, 8, 3, session),
 	}
 }
 

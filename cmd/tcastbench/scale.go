@@ -5,13 +5,13 @@ import (
 	"runtime"
 	"testing"
 
-	"tcast/internal/audit"
 	"tcast/internal/core"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/obs"
 	"tcast/internal/rng"
 	"tcast/internal/trace"
+	"tcast/internal/trial"
 )
 
 // The telemetry-scale trio: one op is one fully observed 2tBins trial —
@@ -39,83 +39,52 @@ func scaleWorkers() int {
 	return w
 }
 
-// scaleState is one worker's reusable trial state. Unlike the sync.Pool
-// of the n=128 benchmarks, the trio preallocates one state per worker and
-// indexes it by trial stripe: the O(N) buffers inside (channel bitsets,
-// the auditor's shadow knowledge, the arena) must survive every
-// iteration, and a pool may evict them under GC pressure mid-run, which
-// would charge spurious O(N) reallocations to the measured loop.
-type scaleState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	aud       *audit.Auditor
-}
-
-func newScaleStates(workers int) []*scaleState {
-	states := make([]*scaleState, workers)
+// newScaleStates preallocates one trial state per worker. Unlike the
+// sync.Pool of the n=128 benchmarks, the trio indexes its states by trial
+// stripe: the O(N) buffers inside (channel bitsets, the auditor's shadow
+// knowledge, the arena) must survive every iteration, and a pool may
+// evict them under GC pressure mid-run, which would charge spurious O(N)
+// reallocations to the measured loop.
+func newScaleStates(workers int) []*trial.State {
+	states := make([]*trial.State, workers)
 	for i := range states {
-		states[i] = new(scaleState)
+		states[i] = new(trial.State)
 	}
 	return states
 }
 
-// scaleTrial builds the per-trial function over the preallocated states.
-// RunTrials stripes trial i onto worker i mod len(states), so the state
-// index below is race-free for any batch size.
-func scaleTrial(n int, states []*scaleState, builder *trace.Builder, sink *obs.SketchSink) func(i int, r *rng.Source) (float64, error) {
-	cfg := fastsim.DefaultConfig()
-	return func(i int, r *rng.Source) (float64, error) {
-		st := states[i%len(states)]
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, scaleX, cfg, &st.chr)
-		acfg := audit.Config{N: n, T: scaleT}
-		var err error
-		if st.aud == nil {
-			st.aud, err = audit.New(&st.ch, acfg)
-		} else {
-			err = st.aud.Reset(&st.ch, acfg)
-		}
-		if err != nil {
-			return 0, err
-		}
-		fb := builder.Fork(i)
-		fb.Begin(trace.KindTrial, "trial")
-		sq := trace.NewSpanQuerier(st.aud, fb)
-		sq.SetSampling(scaleSampleRate, uint64(i))
-		sq.StartSession("2tBins")
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, core.TwoTBins{}, sq, n, scaleT, &st.algr)
-		if err != nil {
-			return 0, err
-		}
-		v := st.aud.Finish(res.Decision)
-		sq.EndSession()
-		fb.End()
-		sink.OnEvent(obs.Event{
-			Kind: obs.KindSessionVerdict, Session: "2tBins", Trial: i,
-			Poll: -1, Polls: v.Polls, Slots: obs.ChainSlots(sq, v.Polls),
-			Correct: res.Decision == (scaleX >= scaleT), CausalPoll: -1,
-		})
-		return float64(res.Queries), nil
-	}
-}
-
 // runScaleTrials executes total telemetered trials at population n through
 // the worker pool, batching the trace builder like the sweep driver so
-// memory stays bounded at any total. Shared by the benchmark bodies and
-// the flat-in-N regression test.
-func runScaleTrials(n, total int, states []*scaleState, sink *obs.SketchSink) error {
+// memory stays bounded at any total. RunTrials stripes trial i onto
+// worker i mod len(states), so indexing the states by stripe is
+// race-free. Shared by the benchmark bodies and the flat-in-N regression
+// test.
+func runScaleTrials(n, total int, states []*trial.State, sink *obs.SketchSink) error {
+	cfg := fastsim.DefaultConfig()
 	for done, seed := 0, uint64(1); done < total; seed++ {
 		m := total - done
 		if m > scaleBatch {
 			m = scaleBatch
 		}
-		builder := trace.NewBuilder()
-		if _, err := experiment.RunTrials(m, len(states), rng.New(seed), scaleTrial(n, states, builder, sink)); err != nil {
+		stack := &trial.Stack{Trace: trace.NewBuilder(), TraceSample: scaleSampleRate}
+		_, err := experiment.RunTrials(m, len(states), rng.New(seed), func(i int, r *rng.Source) (float64, error) {
+			st := states[i%len(states)]
+			sess, err := stack.Run(st, st.Channel(n, scaleX, cfg, r), core.TwoTBins{}, r,
+				trial.Trial{Index: i, N: n, T: scaleT, X: scaleX, Stream: 2, Audit: true})
+			if err != nil {
+				return 0, err
+			}
+			sink.OnEvent(obs.Event{
+				Kind: obs.KindSessionVerdict, Session: "2tBins", Trial: i,
+				Poll: -1, Polls: sess.Verdict.Polls, Slots: sess.Slots(),
+				Correct: sess.Verdict.Correct(), CausalPoll: -1,
+			})
+			return float64(sess.Result.Queries), nil
+		})
+		if err != nil {
 			return err
 		}
-		builder.Graft()
+		stack.Trace.Graft()
 		done += m
 	}
 	return nil
@@ -142,20 +111,8 @@ func scaleBench(name string, n int) bench {
 				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single unsampled session.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, scaleX, fastsim.DefaultConfig(), r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, scaleT, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		// Cost-model work of one trial: a single unsampled session.
+		traced: costModel(trial.Stack{}, core.TwoTBins{}, n, scaleT, scaleX, 2, channel(n, scaleX, fastsim.DefaultConfig())),
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/rng"
-	"tcast/internal/trace"
+	"tcast/internal/trial"
 )
 
 // The sparse pair prices the streamed query path itself, with no
@@ -32,20 +32,19 @@ const sparseWarmup = 2
 // runSparseTrials executes total bare trials at population n against the
 // one pooled state, in trial order. Shared by the benchmark body and the
 // sublinear-bytes regression test.
-func runSparseTrials(n, total int, st *trialState) error {
+func runSparseTrials(n, total int, st *trial.State) error {
 	cfg := fastsim.DefaultConfig()
+	bare := &trial.Stack{}
 	root := rng.New(1)
 	var r rng.Source
 	for i := 0; i < total; i++ {
 		root.SplitInto(uint64(i), &r)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, scaleX, cfg, &st.chr)
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, core.TwoTBins{}, &st.ch, n, scaleT, &st.algr)
+		sess, err := bare.Run(st, st.Channel(n, scaleX, cfg, &r), core.TwoTBins{}, &r,
+			trial.Trial{Index: i, N: n, T: scaleT, X: scaleX, Stream: 2})
 		if err != nil {
 			return err
 		}
-		if !res.Decision {
+		if !sess.Result.Decision {
 			return fmt.Errorf("sparse trial %d at n=%d: wrong decision", i, n)
 		}
 	}
@@ -59,7 +58,7 @@ func sparseBench(name string, n int) bench {
 		short:    true,
 		perTrial: true,
 		fn: func(b *testing.B) {
-			var st trialState
+			var st trial.State
 			if err := runSparseTrials(n, sparseWarmup, &st); err != nil {
 				b.Fatal(err)
 			}
@@ -69,23 +68,11 @@ func sparseBench(name string, n int) bench {
 				b.Fatal(err)
 			}
 		},
-		traced: func() (int64, int64, error) {
-			// Cost-model work of one trial: a single traced session. The
-			// span layer materializes each streamed bin's members exactly
-			// as the bare path hands them to the querier.
-			r := rng.New(1).Split(0)
-			ch, _ := fastsim.RandomPositives(n, scaleX, fastsim.DefaultConfig(), r.Split(1))
-			tb := trace.NewBuilder()
-			sq := trace.NewSpanQuerier(ch, tb)
-			sq.SetSampling(scaleSampleRate, 0)
-			sq.StartSession("2tBins")
-			if _, err := (core.TwoTBins{}).Run(sq, n, scaleT, r.Split(2)); err != nil {
-				return 0, 0, err
-			}
-			sq.EndSession()
-			a := trace.Analyze(tb.Trace())
-			return int64(a.Polls), a.Slots, nil
-		},
+		// Cost-model work of one trial: a single traced session. The span
+		// layer materializes each streamed bin's members exactly as the
+		// bare path hands them to the querier.
+		traced: costModel(trial.Stack{TraceSample: scaleSampleRate}, core.TwoTBins{}, n, scaleT, scaleX, 2,
+			channel(n, scaleX, fastsim.DefaultConfig())),
 	}
 }
 
@@ -101,7 +88,7 @@ func sparseBenches() []bench {
 // acceptance check: allocated bytes per bare sparse trial at population
 // n, measured after the warmup has sized the one state's buffers.
 func measureSparseBytes(n, iters int) (float64, error) {
-	var st trialState
+	var st trial.State
 	if err := runSparseTrials(n, sparseWarmup, &st); err != nil {
 		return 0, fmt.Errorf("warmup: %w", err)
 	}

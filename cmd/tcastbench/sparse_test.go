@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"tcast/internal/trial"
+)
 
 // TestSparseBytesSublinear pins the sparse pair's acceptance criterion:
 // steady-state allocator traffic per bare trial must not scale with the
@@ -31,7 +35,7 @@ func TestSparse1e7Completes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second single trial")
 	}
-	var st trialState
+	var st trial.State
 	if err := runSparseTrials(10_000_000, 1, &st); err != nil {
 		t.Fatal(err)
 	}

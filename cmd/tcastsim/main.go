@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -20,7 +21,6 @@ import (
 	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
-	"tcast/internal/core"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
@@ -30,54 +30,65 @@ import (
 	"tcast/internal/rng"
 	"tcast/internal/stats"
 	"tcast/internal/trace"
+	"tcast/internal/trial"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "tcastsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the whole command: parse args, optionally dump trial 0, run the
+// sweep and print its summary to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("tcastsim", flag.ExitOnError)
 	var (
-		n       = flag.Int("n", 128, "participant nodes")
-		t       = flag.Int("t", 16, "threshold")
-		x       = flag.Int("x", 8, "ground-truth positive nodes")
-		alg     = flag.String("alg", "2tbins", "algorithm: 2tbins | exp | abns-t | abns-2t | probabns | oracle | csma | seq")
-		model   = flag.String("model", "1+", "collision model: 1+ | 2+")
-		runs    = flag.Int("runs", 1000, "number of trials")
-		workers = flag.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS); results are worker-count-independent")
-		seed    = flag.Uint64("seed", 2011, "root random seed")
-		miss    = flag.Float64("miss", 0, "per-reply miss probability (radio irregularity)")
-		dump    = flag.Bool("dump", false, "print a poll-by-poll trace of one session before the sweep")
-		doAudit = flag.Bool("audit", false, "grade every session against ground truth and print the audit summary (tcast algorithms only)")
+		n       = fs.Int("n", 128, "participant nodes")
+		t       = fs.Int("t", 16, "threshold")
+		x       = fs.Int("x", 8, "ground-truth positive nodes")
+		alg     = fs.String("alg", "2tbins", "algorithm: "+trial.Names+"|csma|seq")
+		model   = fs.String("model", "1+", "collision model: 1+ | 2+")
+		runs    = fs.Int("runs", 1000, "number of trials")
+		workers = fs.Int("workers", 0, "trial parallelism (0 = GOMAXPROCS); results are worker-count-independent")
+		seed    = fs.Uint64("seed", 2011, "root random seed")
+		miss    = fs.Float64("miss", 0, "per-reply miss probability (radio irregularity)")
+		dump    = fs.Bool("dump", false, "print a poll-by-poll trace of the sweep's trial 0 before the sweep")
+		doAudit = fs.Bool("audit", false, "grade every session against ground truth and print the audit summary (tcast algorithms only)")
 
-		faultsSpec = flag.String("faults", "", "fault-injection spec, e.g. burst=8,frac=0.2,churn=0.01,skew=0.01 (csma honors the burst process via its drop hook)")
-		retries    = flag.Int("retries", 0, "initiator retry budget per silent poll (tcast algorithms)")
-		backoff    = flag.Int("backoff", 0, "idle slots before each retry")
+		faultsSpec = fs.String("faults", "", "fault-injection spec, e.g. burst=8,frac=0.2,churn=0.01,skew=0.01 (csma honors the burst process via its drop hook)")
+		retries    = fs.Int("retries", 0, "initiator retry budget per silent poll (tcast algorithms)")
+		backoff    = fs.Int("backoff", 0, "idle slots before each retry")
 
-		traceOut    = flag.String("trace", "", "write a structured span trace (JSONL, virtual time) of the whole sweep to this file")
-		traceSample = flag.Int("trace-sample", 1, "record 1-in-k poll leaf spans per session (k<=1 records all); virtual clock and session counters stay exact")
-		metricsOut  = flag.String("metrics", "", "dump per-poll metrics to this file after the sweep ('-' = stdout, .prom = Prometheus format)")
-		pprofDir    = flag.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles for the sweep into this directory")
+		traceOut    = fs.String("trace", "", "write a structured span trace (JSONL, virtual time) of the whole sweep to this file")
+		traceSample = fs.Int("trace-sample", 1, "record 1-in-k poll leaf spans per session (k<=1 records all); virtual clock and session counters stay exact")
+		metricsOut  = fs.String("metrics", "", "dump per-poll metrics to this file after the sweep ('-' = stdout, .prom = Prometheus format)")
+		pprofDir    = fs.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles for the sweep into this directory")
 	)
 	var obsCfg obs.Config
-	obsCfg.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obsCfg.RegisterFlags(fs)
+	fs.Parse(args)
 	if *x < 0 || *x > *n {
-		fatal(fmt.Errorf("x=%d outside [0,%d]", *x, *n))
+		return fmt.Errorf("x=%d outside [0,%d]", *x, *n)
 	}
 
 	var reg *metrics.Registry
 	if *metricsOut != "" || obsCfg.Enabled() {
 		reg = metrics.New()
 	}
-	plane, err := obsCfg.Build(os.Stderr, reg, false)
+	plane, err := obsCfg.Build(stderr, reg, false)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *pprofDir != "" {
 		stop, err := metrics.StartProfiles(*pprofDir)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "tcastsim: pprof:", err)
+				fmt.Fprintln(stderr, "tcastsim: pprof:", err)
 			}
 		}()
 	}
@@ -86,14 +97,29 @@ func main() {
 	if *model == "2+" {
 		cfg = fastsim.TwoPlusConfig()
 	} else if *model != "1+" {
-		fatal(fmt.Errorf("unknown model %q", *model))
+		return fmt.Errorf("unknown model %q", *model)
 	}
 	cfg.MissProb = *miss
 
-	var builder *trace.Builder
+	stack := &trial.Stack{
+		Retry:       query.RetryPolicy{MaxRetries: *retries, Backoff: *backoff},
+		Metrics:     reg,
+		TraceSample: *traceSample,
+		Obs:         plane.Bus(),
+	}
+	fcfg, err := faults.ParseSpec(*faultsSpec)
+	if err != nil {
+		return err
+	}
+	if fcfg.Active() {
+		stack.Faults = &fcfg
+	}
+	if *doAudit {
+		stack.Audit = &audit.Collector{}
+	}
 	if *traceOut != "" {
-		builder = trace.NewBuilder()
-		builder.SetMeta(
+		stack.Trace = trace.NewBuilder()
+		stack.Trace.SetMeta(
 			trace.StringAttr("cmd", "tcastsim"),
 			trace.StringAttr("alg", *alg),
 			trace.IntAttr("n", *n), trace.IntAttr("t", *t), trace.IntAttr("x", *x),
@@ -102,27 +128,17 @@ func main() {
 			trace.IntAttr("runs", *runs),
 		)
 	}
-
-	var col *audit.Collector
-	if *doAudit {
-		col = &audit.Collector{}
-	}
-	fcfg, err := faults.ParseSpec(*faultsSpec)
+	trialFn, name, err := buildTrial(*alg, *n, *t, *x, cfg, stack)
 	if err != nil {
-		fatal(err)
-	}
-	retry := query.RetryPolicy{MaxRetries: *retries, Backoff: *backoff}
-	trial, name, err := buildTrial(*alg, *n, *t, *x, cfg, fcfg, retry, reg, builder, *traceSample, col, plane.Bus())
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *dump {
-		if err := printTrace(*alg, *n, *t, *x, cfg, *seed); err != nil {
-			fatal(err)
+		if err := printTrace(stdout, *alg, *n, *t, *x, cfg, stack, *seed); err != nil {
+			return err
 		}
 	}
-	if builder != nil {
-		sp := builder.Begin(trace.KindExperiment, "tcastsim")
+	if b := stack.Trace; b != nil {
+		sp := b.Begin(trace.KindExperiment, "tcastsim")
 		sp.SetAttr(trace.StringAttr("alg", name))
 	}
 	w := *workers
@@ -132,229 +148,145 @@ func main() {
 	// Trials fan out over the pool; each records into its own trace fork
 	// and audit slot keyed by trial index, so the outputs below are
 	// bit-identical for any worker count.
-	values, err := experiment.RunTrials(*runs, w, rng.New(*seed), trial)
+	values, err := experiment.RunTrials(*runs, w, rng.New(*seed), trialFn)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if col != nil {
+	if col := stack.Audit; col != nil {
 		col.Flush()
 	}
-	if builder != nil {
-		builder.Graft()
-		if err := trace.WriteFile(*traceOut, builder.Trace()); err != nil {
-			fatal(err)
+	if b := stack.Trace; b != nil {
+		b.Graft()
+		if err := trace.WriteFile(*traceOut, b.Trace()); err != nil {
+			return err
 		}
 	}
 	var acc stats.Running
 	for _, v := range values {
 		acc.Observe(v)
 	}
-	fmt.Printf("%s  n=%d t=%d x=%d model=%s runs=%d\n", name, *n, *t, *x, *model, *runs)
-	fmt.Printf("ground truth: x >= t is %v\n", *x >= *t)
-	fmt.Printf("mean cost: %.2f queries/slots (95%% CI ±%.2f, min %.0f, max %.0f)\n",
+	fmt.Fprintf(stdout, "%s  n=%d t=%d x=%d model=%s runs=%d\n", name, *n, *t, *x, *model, *runs)
+	fmt.Fprintf(stdout, "ground truth: x >= t is %v\n", *x >= *t)
+	fmt.Fprintf(stdout, "mean cost: %.2f queries/slots (95%% CI ±%.2f, min %.0f, max %.0f)\n",
 		acc.Mean(), acc.CI95(), acc.Min(), acc.Max())
 	qs := stats.Quantiles(values, 0.5, 0.9, 0.99)
-	fmt.Printf("quantiles: p50=%.0f p90=%.0f p99=%.0f\n", qs[0], qs[1], qs[2])
-	if col != nil {
-		fmt.Print(col.Summary())
+	fmt.Fprintf(stdout, "quantiles: p50=%.0f p90=%.0f p99=%.0f\n", qs[0], qs[1], qs[2])
+	if col := stack.Audit; col != nil {
+		fmt.Fprint(stdout, col.Summary())
 	}
 	if *metricsOut != "" {
 		if err := metrics.DumpToPath(reg, *metricsOut); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if s := plane.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
+		fmt.Fprint(stderr, s)
 	}
-	if err := plane.Close(); err != nil {
-		fatal(err)
-	}
+	return plane.Close()
 }
 
-// buildTrial returns a per-trial cost function for the selected scheme.
-// A non-nil registry instruments every group poll of the tcast schemes;
-// the CSMA/sequential baselines have no group polls to instrument. A
-// non-nil builder renders each trial as virtual-time spans: the trial
-// records into its own fork keyed by trial index, so trials may run on
-// every core and the caller grafts the fragments back in order. A
-// non-nil collector grades every tcast session against the channel's
-// ground truth, likewise keyed by trial index. An active fault config
-// stacks the injector above the channel (CSMA honors the burst process
-// through its drop hook; sequential polling has no contention to fault);
-// an active retry policy re-polls silent bins within the priced budget.
-func buildTrial(alg string, n, t, x int, cfg fastsim.Config, fcfg faults.Config, retry query.RetryPolicy, reg *metrics.Registry, b *trace.Builder, sample int, col *audit.Collector, bus *obs.Bus) (func(i int, r *rng.Source) (float64, error), string, error) {
-	baselineTrial := func(scheme string, run func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result) func(i int, r *rng.Source) (float64, error) {
-		return func(trialN int, r *rng.Source) (float64, error) {
-			pos := bitset.New(n)
-			for _, id := range r.Split(1).Sample(n, x) {
-				pos.Add(id)
-			}
-			label := fmt.Sprintf("%s/trial=%d", scheme, trialN)
-			obs.PublishSessionStart(bus, label, trialN)
-			res := run(n, t, pos, r.Split(2))
-			obs.PublishDecision(bus, label, trialN, res.Decision, x >= t, 0, int64(res.Slots))
-			if b != nil {
-				f := b.Fork(trialN)
-				sp := f.Begin(trace.KindTrial, "trial "+strconv.Itoa(trialN))
-				f.Advance(int64(res.Slots))
-				sp.SetAttr(
-					trace.StringAttr("substrate", "baseline"),
-					trace.StringAttr("scheme", scheme),
-					trace.IntAttr("slots", res.Slots),
-					trace.IntAttr("delivered", res.Delivered),
-					trace.IntAttr("collisions", res.Collisions),
-					trace.BoolAttr("decision", res.Decision),
-				)
-				f.End()
-			}
-			return float64(res.Slots), nil
+// buildTrial returns the per-trial cost function for the selected scheme
+// and its display name. The tcast algorithms run through the trial stack,
+// labeled "<name>/trial=<i>". The CSMA/sequential baselines have no group
+// polls to instrument, audit or fault: CSMA honors an active burst
+// process through its drop hook, and a traced baseline trial is one span
+// of its slot count.
+func buildTrial(alg string, n, t, x int, cfg fastsim.Config, stack *trial.Stack) (func(i int, r *rng.Source) (float64, error), string, error) {
+	if alg == "csma" || alg == "seq" {
+		if stack.Audit != nil {
+			return nil, "", fmt.Errorf("-audit grades group-poll sessions; %s has none", alg)
 		}
-	}
-	var fac func(ch *fastsim.Channel) core.Algorithm
-	var name string
-	switch alg {
-	case "2tbins":
-		fac, name = plain(core.TwoTBins{}), "2tBins"
-	case "exp":
-		fac, name = plain(core.ExpIncrease{}), "ExpIncrease"
-	case "abns-t":
-		fac, name = plain(core.ABNS{P0: 1}), "ABNS(p0=t)"
-	case "abns-2t":
-		fac, name = plain(core.ABNS{P0: 2}), "ABNS(p0=2t)"
-	case "probabns":
-		fac, name = plain(core.ProbABNS{}), "ProbABNS"
-	case "oracle":
-		fac, name = func(ch *fastsim.Channel) core.Algorithm { return core.Oracle{Truth: ch} }, "Oracle"
-	case "csma":
-		if col != nil {
-			return nil, "", fmt.Errorf("-audit grades group-poll sessions; csma has none")
-		}
-		return baselineTrial("csma", func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
-			c := baseline.CSMA{}
-			if fcfg.Burst.Active() {
-				link := faults.NewLink(fcfg.Burst, r.Split(9))
-				c.Drop = func(int) bool { return link.Lost() }
-			}
-			return c.Run(n, t, pos, r)
-		}), "CSMA", nil
-	case "seq":
-		if col != nil {
-			return nil, "", fmt.Errorf("-audit grades group-poll sessions; seq has none")
-		}
-		return baselineTrial("sequential", func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
+		scheme, name := "sequential", "Sequential"
+		run := func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
 			return baseline.Sequential{}.Run(n, t, pos, r)
-		}), "Sequential", nil
-	default:
-		return nil, "", fmt.Errorf("unknown algorithm %q", alg)
-	}
-	return func(trialN int, r *rng.Source) (float64, error) {
-		ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-		a := fac(ch)
-		var sub query.Querier = ch
-		if fcfg.Active() {
-			sub = faults.New(sub, fcfg, n, r.Split(9))
 		}
-		sub = query.WithRetry(sub, retry)
-		q := metrics.Wrap(sub, reg)
-		label := fmt.Sprintf("%s/trial=%d", name, trialN)
-		var aud *audit.Auditor
-		if col != nil {
-			var err error
-			aud, err = audit.New(q, audit.Config{N: n, T: t, Metrics: reg})
-			if err != nil {
-				return 0, err
-			}
-			q = aud
-		}
-		var fb *trace.Builder
-		var sq *trace.SpanQuerier
-		if b != nil {
-			fb = b.Fork(trialN)
-			fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(trialN))
-			sq = trace.NewSpanQuerier(q, fb)
-			sq.SetSampling(sample, uint64(trialN))
-			sq.StartSession(a.Name(),
-				trace.IntAttr("n", n), trace.IntAttr("t", t), trace.IntAttr("x", x))
-			q = sq
-		}
-		if bus != nil {
-			q = obs.NewPublisher(q, bus, label, trialN)
-			obs.PublishSessionStart(bus, label, trialN)
-		}
-		res, err := a.Run(q, n, t, r.Split(2))
-		if aud != nil {
-			if err == nil {
-				// Finish before EndSession so the verdict annotates the span.
-				v := aud.Finish(res.Decision)
-				col.AddAt(trialN, label, v)
-				if bus != nil {
-					obs.PublishChainEvents(bus, label, trialN, q)
-					obs.PublishVerdict(bus, label, trialN, v, obs.ChainSlots(q, v.Polls), q)
+		if alg == "csma" {
+			scheme, name = "csma", "CSMA"
+			run = func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result {
+				c := baseline.CSMA{}
+				if f := stack.Faults; f != nil && f.Burst.Active() {
+					link := faults.NewLink(f.Burst, r.Split(trial.FaultStream))
+					c.Drop = func(int) bool { return link.Lost() }
 				}
-			} else {
-				col.Void(label)
+				return c.Run(n, t, pos, r)
 			}
 		}
-		if sq != nil {
-			if err == nil {
-				sq.EndSession(
-					trace.BoolAttr("decision", res.Decision),
-					trace.IntAttr("queries", res.Queries),
-					trace.IntAttr("rounds", res.Rounds))
-			} else {
-				sq.EndSession(trace.StringAttr("error", err.Error()))
-			}
-			fb.End() // trial span
-		}
+		return baselineTrial(scheme, n, t, x, stack, run), name, nil
+	}
+	a, err := trial.Algorithm(alg)
+	if err != nil {
+		return nil, "", err
+	}
+	return func(i int, r *rng.Source) (float64, error) {
+		st := trial.Get()
+		defer trial.Put(st)
+		sess, err := stack.Run(st, st.Channel(n, x, cfg, r), a, r, trial.Trial{
+			Index: i, Label: fmt.Sprintf("%s/trial=%d", a.Name(), i),
+			N: n, T: t, X: x, Stream: 2,
+		})
 		if err != nil {
 			return 0, err
 		}
-		metrics.FinishSession(q)
-		if bus != nil && aud == nil {
-			obs.PublishChainEvents(bus, label, trialN, q)
-			obs.PublishDecision(bus, label, trialN, res.Decision, x >= t, res.Queries,
-				obs.ChainSlots(q, res.Queries))
+		return float64(sess.Result.Queries), nil
+	}, a.Name(), nil
+}
+
+// baselineTrial wraps one abstract baseline as a trial: positives from
+// Split(1), the scheme's own draws from Split(2), its decision on the bus
+// and its slot count as one trace span.
+func baselineTrial(scheme string, n, t, x int, stack *trial.Stack, run func(n, t int, pos *bitset.Set, r *rng.Source) baseline.Result) func(i int, r *rng.Source) (float64, error) {
+	return func(i int, r *rng.Source) (float64, error) {
+		pos := bitset.New(n)
+		for _, id := range r.Split(1).Sample(n, x) {
+			pos.Add(id)
 		}
-		return float64(res.Queries), nil
-	}, name, nil
+		label := fmt.Sprintf("%s/trial=%d", scheme, i)
+		obs.PublishSessionStart(stack.Obs, label, i)
+		res := run(n, t, pos, r.Split(2))
+		obs.PublishDecision(stack.Obs, label, i, res.Decision, x >= t, 0, int64(res.Slots))
+		if b := stack.Trace; b != nil {
+			f := b.Fork(i)
+			sp := f.Begin(trace.KindTrial, "trial "+strconv.Itoa(i))
+			f.Advance(int64(res.Slots))
+			sp.SetAttr(
+				trace.StringAttr("substrate", "baseline"),
+				trace.StringAttr("scheme", scheme),
+				trace.IntAttr("slots", res.Slots),
+				trace.IntAttr("delivered", res.Delivered),
+				trace.IntAttr("collisions", res.Collisions),
+				trace.BoolAttr("decision", res.Decision),
+			)
+			f.End()
+		}
+		return float64(res.Slots), nil
+	}
 }
 
-func plain(a core.Algorithm) func(ch *fastsim.Channel) core.Algorithm {
-	return func(*fastsim.Channel) core.Algorithm { return a }
-}
-
-// printTrace runs one session with a trace recorder and prints its
-// poll-by-poll timeline. Baselines have no group polls to trace.
-func printTrace(alg string, n, t, x int, cfg fastsim.Config, seed uint64) error {
-	var a core.Algorithm
-	switch alg {
-	case "2tbins":
-		a = core.TwoTBins{}
-	case "exp":
-		a = core.ExpIncrease{}
-	case "abns-t":
-		a = core.ABNS{P0: 1}
-	case "abns-2t":
-		a = core.ABNS{P0: 2}
-	case "probabns":
-		a = core.ProbABNS{}
-	default:
+// printTrace renders the sweep's trial 0 poll by poll: the same stream
+// derivation, fault injector and retry policy, with a trace.Recorder
+// outermost, so the dumped polls are exactly the ones the sweep's first
+// trial costs. Baselines have no group polls to trace.
+func printTrace(w io.Writer, alg string, n, t, x int, cfg fastsim.Config, stack *trial.Stack, seed uint64) error {
+	a, err := trial.Algorithm(alg)
+	if err != nil {
 		return fmt.Errorf("-dump supports the tcast algorithms, not %q", alg)
 	}
-	r := rng.New(seed)
-	ch, _ := fastsim.RandomPositives(n, x, cfg, r.Split(1))
-	rec := trace.NewRecorder(ch)
-	res, err := a.Run(rec, n, t, r.Split(2))
+	var r rng.Source
+	rng.New(seed).SplitInto(0, &r)
+	var st trial.State
+	dump := &trial.Stack{Faults: stack.Faults, Retry: stack.Retry}
+	sess, err := dump.Open(&st, st.Channel(n, x, cfg, &r), a, &r, trial.Trial{N: n, T: t, X: x, Stream: 2})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("--- trace of one %s session (decision=%v, %d polls) ---\n", a.Name(), res.Decision, res.Queries)
-	fmt.Print(rec.Render())
-	fmt.Println("---")
+	rec := trace.NewRecorder(sess.Q)
+	sess.Q = rec
+	res, err := sess.Run()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "--- trace of trial 0, one %s session (decision=%v, %d polls) ---\n", a.Name(), res.Decision, rec.Len())
+	fmt.Fprint(w, rec.Render())
+	fmt.Fprintln(w, "---")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tcastsim:", err)
-	os.Exit(1)
 }

@@ -5,13 +5,13 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/core"
-	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/pollcast"
 	"tcast/internal/query"
 	"tcast/internal/radio"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
+	"tcast/internal/trial"
 )
 
 // tab-acc is the accuracy-breakdown campaign: 2tBins over the packet-level
@@ -23,68 +23,65 @@ import (
 // sensing is loss-immune. Unlike the figure experiments — which run on
 // effectively lossless substrates and treat a wrong decision as a harness
 // error — this campaign *wants* wrong decisions, so it can attribute each
-// one to the first causal unsound poll.
+// one to the first causal unsound poll. Both packet-level campaigns
+// (tab-acc, ext-faults) poll the same population.
 const (
-	accN = 24 // participants
-	accT = 6  // threshold
-	accX = 8  // true positives: x > t, so loss-induced errors decide "no"
+	backcastN = 24 // participants
+	backcastT = 6  // threshold
+	backcastX = 8  // true positives: x > t, so loss-induced errors decide "no"
 )
 
 // accMissPcts are the swept per-reply loss probabilities, in percent.
 var accMissPcts = []int{0, 2, 5, 10, 15, 20}
 
-// accuracyPoint runs one miss-rate point's trials (at full worker
-// parallelism; verdicts are inserted under their trial index so the
-// dumps are order-deterministic) and returns the graded collector
-// alongside the per-trial correctness values.
-func accuracyPoint(missPct int, o Options, root *rng.Source) (*audit.Collector, []float64, error) {
+// backcastPoint runs one point of the packet-level campaigns (tab-acc,
+// ext-faults): 2tBins, on its Split(3) stream, over a backcast session on
+// a radio medium that loses each reply copy with probability miss, below
+// stack's fault and retry layers. Every session is audited. It returns
+// the point's own collector, the per-trial correctness values, and how
+// many wrong decisions the fault injector explains; those sessions'
+// labels name the fault. Verdicts also fold into o.Audit, flushed in
+// trial order once the point drains, so dumps are worker-independent.
+func backcastPoint(prefix string, miss float64, stack trial.Stack, o Options, root *rng.Source) (*audit.Collector, []float64, int, error) {
+	stack.Metrics, stack.Audit, stack.Obs = o.Metrics, o.Audit, o.Obs
 	col := &audit.Collector{}
-	miss := float64(missPct) / 100
-	values, err := RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
+	runs := o.runs(200)
+	attributed := make([]bool, runs)
+	values, err := RunTrials(runs, o.workers(), root, func(i int, r *rng.Source) (float64, error) {
 		med := radio.NewMedium(radio.Config{MissProb: miss}, r.Split(1))
-		parts := make([]*pollcast.Participant, accN)
-		positive := make(map[int]bool, accX)
-		for _, id := range r.Split(2).Sample(accN, accX) {
+		parts := make([]*pollcast.Participant, backcastN)
+		positive := make(map[int]bool, backcastX)
+		for _, id := range r.Split(2).Sample(backcastN, backcastX) {
 			positive[id] = true
 		}
-		for i := range parts {
-			parts[i] = &pollcast.Participant{ID: i, Positive: positive[i]}
+		for id := range parts {
+			parts[id] = &pollcast.Participant{ID: id, Positive: positive[id]}
 		}
-		sess, err := pollcast.NewSession(med, accN, parts, pollcast.Backcast, query.OnePlus)
+		sub, err := pollcast.NewSession(med, backcastN, parts, pollcast.Backcast, query.OnePlus)
 		if err != nil {
 			return 0, err
 		}
-		var q query.Querier = metrics.Wrap(o.wrapFaults(sess, accN, r), o.Metrics)
-		aud, err := audit.New(q, audit.Config{N: accN, T: accT, Metrics: o.Metrics})
+		st := trial.Get()
+		defer trial.Put(st)
+		sess, err := stack.Open(st, sub, core.TwoTBins{}, r, trial.Trial{
+			Index: i, Label: fmt.Sprintf("%s/trial=%d", prefix, i),
+			N: backcastN, T: backcastT, X: backcastX, Stream: 3, Audit: true,
+		})
 		if err != nil {
 			return 0, err
 		}
-		q = aud
-		label := fmt.Sprintf("2tBins/backcast/miss=%d%%/trial=%d", missPct, trial)
-		if o.Obs != nil {
-			q = obs.NewPublisher(q, o.Obs, label, trial)
-			obs.PublishSessionStart(o.Obs, label, trial)
+		if _, err := sess.Run(); err != nil {
+			return 0, err
 		}
-		res, err := (core.TwoTBins{}).Run(q, accN, accT, r.Split(3))
-		if err != nil {
-			// Polls were graded live but the session never reached a
-			// decision; void it so session accounting stays consistent.
-			col.Void(label)
-			if o.Audit != nil {
-				o.Audit.Void(label)
+		v := sess.Verdict
+		if !v.Correct() {
+			if cause := obs.DescribeCause(sess.Q, v.CausalPoll); cause != "" {
+				sess.Label += " [" + cause + "]"
+				attributed[i] = true
 			}
-			return 0, err
 		}
-		metrics.FinishSession(q)
-		v := aud.Finish(res.Decision)
-		col.AddAt(trial, label, v)
-		if o.Audit != nil {
-			o.Audit.AddAt(trial, label, v)
-		}
-		if o.Obs != nil {
-			obs.PublishChainEvents(o.Obs, label, trial, q)
-			obs.PublishVerdict(o.Obs, label, trial, v, obs.ChainSlots(q, v.Polls), q)
-		}
+		col.AddAt(i, sess.Label, v)
+		sess.Publish()
 		if v.Correct() {
 			return 1, nil
 		}
@@ -94,13 +91,19 @@ func accuracyPoint(missPct int, o Options, root *rng.Source) (*audit.Collector, 
 		if o.Audit != nil {
 			o.Audit.Discard()
 		}
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	col.Flush()
 	if o.Audit != nil {
 		o.Audit.Flush()
 	}
-	return col, values, nil
+	n := 0
+	for _, a := range attributed {
+		if a {
+			n++
+		}
+	}
+	return col, values, n, nil
 }
 
 func init() {
@@ -111,7 +114,7 @@ func init() {
 			root := rng.New(o.Seed)
 			tab := &stats.Table{
 				Title: fmt.Sprintf("audited backcast campaign: N=%d, t=%d, x=%d (truth: yes)",
-					accN, accT, accX),
+					backcastN, backcastT, backcastX),
 				XLabel: "reply loss %", YLabel: "rate / count",
 			}
 			accuracy := &stats.Series{Name: "decision accuracy"}
@@ -120,7 +123,8 @@ func init() {
 			fnPolls := &stats.Series{Name: "false-negative polls per session"}
 			violations := &stats.Series{Name: "invariant violations"}
 			for _, missPct := range accMissPcts {
-				col, values, err := accuracyPoint(missPct, o, root.Split(uint64(missPct)))
+				col, values, _, err := backcastPoint(fmt.Sprintf("2tBins/backcast/miss=%d%%", missPct),
+					float64(missPct)/100, trial.Stack{Faults: o.Faults, Retry: o.Retry}, o, root.Split(uint64(missPct)))
 				if err != nil {
 					return nil, fmt.Errorf("experiment: tab-acc at miss=%d%%: %w", missPct, err)
 				}

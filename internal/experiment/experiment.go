@@ -24,13 +24,8 @@ import (
 	"tcast/internal/rng"
 	"tcast/internal/stats"
 	"tcast/internal/trace"
+	"tcast/internal/trial"
 )
-
-// faultStream is the Split label reserved for a trial's fault-injection
-// stream; trial cost functions use labels 1..3 for their own draws, and
-// Split never advances the parent, so reserving the label costs bare runs
-// nothing.
-const faultStream = 9
 
 // Options tunes an experiment run.
 type Options struct {
@@ -43,82 +38,35 @@ type Options struct {
 	Seed uint64
 	// Workers bounds trial parallelism; zero means GOMAXPROCS.
 	Workers int
-	// Metrics, when non-nil, receives the run's observability data:
-	// per-poll instruments from the instrumented querier and per-point
-	// trial throughput and wall-clock timings from the sweep driver.
-	// Instrumentation never touches the trial RNG streams, so results
-	// are bit-identical with and without it.
-	Metrics *metrics.Registry
-	// Trace, when non-nil, receives a structured span recording of the
-	// run: series → point → trial → session → round → poll, with
-	// virtual-time intervals from the cost model. Trials run at full
-	// worker parallelism: each trial records into its own fork of the
-	// builder (trace.Builder.Fork) and the sweep grafts the fragments
-	// back in trial-index order after the point's pool drains, so the
-	// encoded trace depends only on the seed, never the worker count.
-	// Like Metrics, tracing consumes no randomness, so the computed
-	// tables are bit-identical with and without it.
-	Trace *trace.Builder
-	// TraceSample, when > 1, records only 1-in-k poll leaf spans per
-	// session (trace.SpanQuerier.SetSampling, keyed by the trial index so
-	// identical runs sample identical spans for any worker count). Round
-	// and session spans, the virtual clock, and the session poll/node
-	// counters stay exact; sampled traces Analyze with counts scaled by
-	// the inverse rate. Values <= 1 record everything and are
-	// byte-identical to the pre-sampling format.
+	// The remaining fields configure the layers of every trial's querier
+	// stack; trial.Stack documents each. Metrics additionally receives the
+	// sweep driver's per-point timings and trial throughput. Trace and
+	// Audit are batched per sweep point: trials record into forks and
+	// rows keyed by their index, and the sweep grafts and flushes them in
+	// index order once the point's pool drains, so traces and audit dumps
+	// are identical at any worker count. With Faults active the figure
+	// experiments tolerate wrong decisions instead of failing the trial,
+	// and the abstract CSMA/Sequential baselines, which have no querier
+	// to wrap, run bare. No layer consumes trial randomness, so computed
+	// tables are bit-identical with and without them.
+	Metrics     *metrics.Registry
+	Trace       *trace.Builder
 	TraceSample int
-	// Audit, when non-nil, grades every session against the substrate's
-	// ground truth: each trial's querier chain gains an audit.Auditor and
-	// its verdict (decision outcome, poll soundness classes, invariant
-	// violations, causal poll for wrong decisions) is folded into the
-	// collector. Trials run at full worker parallelism: verdicts are
-	// inserted under their trial index (Collector.AddAt) and the sweep
-	// flushes each point's batch in index order, so session labels and
-	// wrong-decision rows are in deterministic trial order for any worker
-	// count. Like the other two layers it consumes no randomness, so the
-	// computed tables are bit-identical with and without it.
-	Audit *audit.Collector
-	// Faults, when non-nil, stacks the deterministic fault injector
-	// (internal/faults) directly above every trial's querier substrate,
-	// drawing from a dedicated per-trial stream. A non-nil config with
-	// all rates zero still interposes the injector; such runs are
-	// byte-identical to bare ones (the CI property test pins this).
-	// With faults active the figure experiments tolerate wrong decisions
-	// instead of failing the trial — degradation is the point — and the
-	// abstract CSMA/Sequential baselines, which have no querier to wrap,
-	// run bare. The audit layer keeps working: the injector reports
-	// itself lossy, so the bound invariants stand down.
-	Faults *faults.Config
-	// Retry stacks the initiator retry policy (query.WithRetry) above
-	// the substrate and injector in every trial; the zero policy adds no
-	// wrapper. Retries and backoff waits are priced in virtual slots.
-	Retry query.RetryPolicy
-	// Obs, when non-nil, streams structured events onto the bus: one
-	// session-start and one verdict event per trial, one poll event per
-	// group poll (obs.Publisher, stacked outermost so every layer below
-	// is already applied), injected-fault and retry-exhaustion events
-	// drained from the chain, and anomaly events for invariant
-	// violations and wrong verdicts. Trials publish from worker
-	// goroutines, so the live stream is scheduling-ordered — sinks that
-	// need determinism key on the session label and trial index carried
-	// by every event. Publishing consumes no randomness and the wrapper
-	// is interposed only when the bus is non-nil, so published runs stay
-	// byte-identical to bare ones and the bare hot path allocation-free.
-	Obs *obs.Bus
+	Audit       *audit.Collector
+	Faults      *faults.Config
+	Retry       query.RetryPolicy
+	Obs         *obs.Bus
 }
 
 // faulted reports whether fault injection is configured AND can fire.
 func (o Options) faulted() bool { return o.Faults != nil && o.Faults.Active() }
 
-// wrapFaults stacks the injector (when configured) and the retry policy
-// above a trial's substrate, returning the querier the observability
-// layers should wrap. r must be the trial's root stream: the injector
-// draws from its reserved split, never from the substrate's.
-func (o Options) wrapFaults(q query.Querier, n int, r *rng.Source) query.Querier {
-	if o.Faults != nil {
-		q = faults.New(q, *o.Faults, n, r.Split(faultStream))
+// stack is the trial stack the options configure.
+func (o Options) stack() *trial.Stack {
+	return &trial.Stack{
+		Faults: o.Faults, Retry: o.Retry, Metrics: o.Metrics, Audit: o.Audit,
+		Trace: o.Trace, TraceSample: o.TraceSample, Obs: o.Obs,
 	}
-	return query.WithRetry(q, o.Retry)
 }
 
 func (o Options) runs(def int) int {
@@ -282,136 +230,29 @@ func sweep(name string, xs []int, o Options, root *rng.Source, cost func(x int) 
 	return s, nil
 }
 
-// algChannelFactory builds the algorithm for one trial's channel (the
-// Oracle needs the trial's ground truth).
-type algChannelFactory func(ch *fastsim.Channel) core.Algorithm
-
-func plainAlg(a core.Algorithm) algChannelFactory {
-	return func(*fastsim.Channel) core.Algorithm { return a }
-}
-
-// trialState is the pooled per-trial scratch of tcastCost: the simulated
-// channel, the session arena, and the two derived RNG streams every trial
-// draws. Pooling it takes the bare trial path (no observability layers
-// configured) down to zero allocations per trial; the reseeding calls
-// (ResetRandom, SplitInto, RunIn) draw exactly the sequences their
-// allocating equivalents do, so pooled trials are bit-identical.
-type trialState struct {
-	ch        fastsim.Channel
-	arena     core.Arena
-	chr, algr rng.Source
-	// aud is the recycled auditor of audited sweeps: Reset re-grades a
-	// new session in place (generation-bumped ledgers, recycled shadow
-	// knowledge), and the collector extracts verdict scalars immediately,
-	// so nothing observes the store after the trial returns it.
-	aud *audit.Auditor
-}
-
-var trialPool = sync.Pool{New: func() any { return new(trialState) }}
-
 // tcastCost measures one tcast session's query count on a fresh channel
-// with exactly x positives. o.Metrics interposes the instrumented querier,
-// recording every group poll; o.Audit stacks the ground-truth auditor over
-// it; o.Trace additionally stacks the span recorder outside both,
-// rendering the trial as trial → session → round → poll spans (with the
-// auditor below the span layer, so its verdict annotates the session
-// span). No wrapper consumes randomness, so the measured values are
-// identical in every combination.
-func tcastCost(fac algChannelFactory, n, t, x int, cfg fastsim.Config, o Options) pointCost {
-	return func(trial int, r *rng.Source) (float64, error) {
-		st := trialPool.Get().(*trialState)
-		defer trialPool.Put(st)
-		r.SplitInto(1, &st.chr)
-		st.ch.ResetRandom(n, x, cfg, &st.chr)
-		ch := &st.ch
-		alg := fac(ch)
-		q := metrics.Wrap(o.wrapFaults(ch, n, r), o.Metrics)
-		var aud *audit.Auditor
-		var label string
+// with exactly x positives, through the trial stack the options
+// configure.
+func tcastCost(alg core.Algorithm, n, t, x int, cfg fastsim.Config, o Options) pointCost {
+	stack := o.stack()
+	return func(i int, r *rng.Source) (float64, error) {
+		st := trial.Get()
+		defer trial.Put(st)
+		tr := trial.Trial{Index: i, N: n, T: t, X: x, Stream: 2}
 		if o.Audit != nil || o.Obs != nil {
-			label = fmt.Sprintf("%s/n=%d/t=%d/x=%d/trial=%d", alg.Name(), n, t, x, trial)
+			tr.Label = fmt.Sprintf("%s/n=%d/t=%d/x=%d/trial=%d", alg.Name(), n, t, x, i)
 		}
-		if o.Audit != nil {
-			acfg := audit.Config{N: n, T: t, Metrics: o.Metrics}
-			var err error
-			if st.aud == nil {
-				st.aud, err = audit.New(q, acfg)
-			} else {
-				err = st.aud.Reset(q, acfg)
-			}
-			if err != nil {
-				return 0, err
-			}
-			aud = st.aud
-			q = aud
-		}
-		var fb *trace.Builder
-		var sq *trace.SpanQuerier
-		if b := o.Trace; b != nil {
-			// Record into a private fork of the shared builder; the sweep
-			// grafts it back under the point span once the pool drains.
-			fb = b.Fork(trial)
-			fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(trial))
-			sq = trace.NewSpanQuerier(q, fb)
-			sq.SetSampling(o.TraceSample, uint64(trial))
-			sq.StartSession(alg.Name(),
-				trace.IntAttr("n", n), trace.IntAttr("t", t), trace.IntAttr("x", x))
-			q = sq
-		}
-		if o.Obs != nil {
-			// Outermost, so the published poll stream counts exactly the
-			// algorithm-visible polls every layer below has already seen.
-			q = obs.NewPublisher(q, o.Obs, label, trial)
-			obs.PublishSessionStart(o.Obs, label, trial)
-		}
-		r.SplitInto(2, &st.algr)
-		res, err := core.RunIn(&st.arena, alg, q, n, t, &st.algr)
-		if aud != nil {
-			if err == nil {
-				// Finish before EndSession so the verdict annotates the
-				// closing session span.
-				v := aud.Finish(res.Decision)
-				o.Audit.AddAt(trial, label, v)
-				if o.Obs != nil {
-					obs.PublishChainEvents(o.Obs, label, trial, q)
-					obs.PublishVerdict(o.Obs, label, trial, v, obs.ChainSlots(q, v.Polls), q)
-				}
-			} else {
-				// The session started (its polls were graded live) but never
-				// reached a decision; void it so the collector's session
-				// accounting stays consistent with sessions started.
-				o.Audit.Void(label)
-			}
-		}
-		if sq != nil {
-			if err == nil {
-				sq.EndSession(
-					trace.BoolAttr("decision", res.Decision),
-					trace.IntAttr("queries", res.Queries),
-					trace.IntAttr("rounds", res.Rounds))
-			} else {
-				sq.EndSession(trace.StringAttr("error", err.Error()))
-			}
-			fb.End() // trial span
-		}
+		sess, err := stack.Run(st, st.Channel(n, x, cfg, r), alg, r, tr)
 		if err != nil {
 			return 0, err
 		}
-		metrics.FinishSession(q)
-		if o.Obs != nil && aud == nil {
-			// Unaudited sessions still close on the bus, graded against the
-			// configured truth x >= t (no causal attribution without audit).
-			obs.PublishChainEvents(o.Obs, label, trial, q)
-			obs.PublishDecision(o.Obs, label, trial, res.Decision, x >= t, res.Queries,
-				obs.ChainSlots(q, res.Queries))
-		}
-		if res.Decision != (x >= t) && !o.faulted() {
+		if sess.Result.Decision != (x >= t) && !o.faulted() {
 			// A wrong decision on a well-behaved substrate is a harness
 			// bug; under active fault injection it is the expected
 			// degradation the audit layer attributes.
 			return 0, fmt.Errorf("wrong decision for n=%d t=%d x=%d", n, t, x)
 		}
-		return float64(res.Queries), nil
+		return float64(sess.Result.Queries), nil
 	}
 }
 

@@ -3,18 +3,13 @@ package experiment
 import (
 	"fmt"
 
-	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
-	"tcast/internal/core"
 	"tcast/internal/faults"
-	"tcast/internal/metrics"
-	"tcast/internal/obs"
-	"tcast/internal/pollcast"
 	"tcast/internal/query"
-	"tcast/internal/radio"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
+	"tcast/internal/trial"
 )
 
 // ext-faults is the robustness campaign the testbed section motivates:
@@ -25,12 +20,10 @@ import (
 // is an injected fault — so every wrong decision's causal poll (found by
 // the auditor) joins an entry in the injector's fault-event log, and the
 // audit dump names the fault that caused each error.
-const (
-	extN     = 24 // participants
-	extT     = 6  // threshold
-	extX     = 8  // true positives: x > t, so fault-induced errors decide "no"
-	extGuard = 48 // CSMA guard slots (realistic termination; Drop needs it)
-)
+
+// extGuard is CSMA's guard-slot count (realistic termination; Drop
+// needs it).
+const extGuard = 48
 
 // extBurstLens sweeps the mean bad-state dwell in polls (0 = no bursts);
 // extBadFrac holds the stationary bad fraction constant, so longer bursts
@@ -59,106 +52,13 @@ var extChurn = faults.ChurnConfig{CrashProb: 0.01, RecoverProb: 0.1}
 // extRetry is the initiator policy of the retry series.
 var extRetry = query.RetryPolicy{MaxRetries: 2, Backoff: 1}
 
-// faultedPoint runs one audited backcast variant at one sweep point and
-// returns the per-trial correctness values plus how many of the point's
-// wrong decisions were attributed to a concrete injected fault event
-// (their collector labels name it). Verdicts fold into col and, when set,
-// o.Audit — both keyed by trial index, so dumps stay order-deterministic
-// at full parallelism.
-func faultedPoint(prefix string, cfg faults.Config, retry query.RetryPolicy, col *audit.Collector, o Options, root *rng.Source) ([]float64, int, error) {
-	runs := o.runs(200)
-	attributed := make([]bool, runs)
-	values, err := RunTrials(runs, o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
-		med := radio.NewMedium(radio.Config{}, r.Split(1))
-		parts := make([]*pollcast.Participant, extN)
-		positive := make(map[int]bool, extX)
-		for _, id := range r.Split(2).Sample(extN, extX) {
-			positive[id] = true
-		}
-		for i := range parts {
-			parts[i] = &pollcast.Participant{ID: i, Positive: positive[i]}
-		}
-		sess, err := pollcast.NewSession(med, extN, parts, pollcast.Backcast, query.OnePlus)
-		if err != nil {
-			return 0, err
-		}
-		inj := faults.New(sess, cfg, extN, r.Split(faultStream))
-		wrapped := query.WithRetry(inj, retry)
-		rq, _ := wrapped.(*query.Retry)
-		var q query.Querier = metrics.Wrap(wrapped, o.Metrics)
-		aud, err := audit.New(q, audit.Config{N: extN, T: extT, Metrics: o.Metrics})
-		if err != nil {
-			return 0, err
-		}
-		q = aud
-		label := fmt.Sprintf("%s/trial=%d", prefix, trial)
-		if o.Obs != nil {
-			q = obs.NewPublisher(q, o.Obs, label, trial)
-			obs.PublishSessionStart(o.Obs, label, trial)
-		}
-		res, err := (core.TwoTBins{}).Run(q, extN, extT, r.Split(3))
-		if err != nil {
-			col.Void(label)
-			if o.Audit != nil {
-				o.Audit.Void(label)
-			}
-			return 0, err
-		}
-		metrics.FinishSession(q)
-		v := aud.Finish(res.Decision)
-		if !v.Correct() {
-			// Join the causal poll to the injector's event log. The
-			// retry layer renumbers polls (one audited poll spans
-			// several attempts), so map to the final attempt first.
-			causal := v.CausalPoll
-			if rq != nil {
-				causal = rq.DownstreamPoll(causal)
-			}
-			if cause := inj.Describe(causal); causal >= 0 && cause != "no injected fault" {
-				label += " [" + cause + "]"
-				attributed[trial] = true
-			}
-		}
-		col.AddAt(trial, label, v)
-		if o.Audit != nil {
-			o.Audit.AddAt(trial, label, v)
-		}
-		if o.Obs != nil {
-			obs.PublishChainEvents(o.Obs, label, trial, q)
-			obs.PublishVerdict(o.Obs, label, trial, v, obs.ChainSlots(q, v.Polls), q)
-		}
-		if v.Correct() {
-			return 1, nil
-		}
-		return 0, nil
-	})
-	if err != nil {
-		col.Discard()
-		if o.Audit != nil {
-			o.Audit.Discard()
-		}
-		return nil, 0, err
-	}
-	col.Flush()
-	if o.Audit != nil {
-		o.Audit.Flush()
-	}
-	n := 0
-	for _, a := range attributed {
-		if a {
-			n++
-		}
-	}
-	return values, n, nil
-}
-
 // csmaFaultedPoint runs the CSMA comparison under the same bursty channel
 // via the baseline's Drop hook (one Gilbert–Elliott link clocked per
 // reply slot, the same clock the injector steps per poll).
 func csmaFaultedPoint(burst faults.BurstConfig, o Options, root *rng.Source) ([]float64, error) {
 	return RunTrials(o.runs(200), o.workers(), root, func(trial int, r *rng.Source) (float64, error) {
-		pos := bitset.New(extN)
-		for _, id := range r.Split(1).Sample(extN, extX) {
+		pos := bitset.New(backcastN)
+		for _, id := range r.Split(1).Sample(backcastN, backcastX) {
 			pos.Add(id)
 		}
 		link := faults.NewLink(burst, r.Split(3))
@@ -166,8 +66,8 @@ func csmaFaultedPoint(burst faults.BurstConfig, o Options, root *rng.Source) ([]
 		if burst.Active() {
 			c.Drop = func(int) bool { return link.Lost() }
 		}
-		res := c.Run(extN, extT, pos, r.Split(2))
-		if res.Decision == (extX >= extT) {
+		res := c.Run(backcastN, backcastT, pos, r.Split(2))
+		if res.Decision == (backcastX >= backcastT) {
 			return 1, nil
 		}
 		return 0, nil
@@ -182,7 +82,7 @@ func init() {
 			root := rng.New(o.Seed)
 			tab := &stats.Table{
 				Title: fmt.Sprintf("faulted backcast campaign: N=%d, t=%d, x=%d (truth: yes), bad fraction %.0f%%",
-					extN, extT, extX, 100*extBadFrac),
+					backcastN, backcastT, backcastX, 100*extBadFrac),
 				XLabel: "mean burst length (polls)", YLabel: "rate / count",
 			}
 			plain := &stats.Series{Name: "backcast accuracy"}
@@ -205,9 +105,9 @@ func init() {
 					{churned, faults.Config{Burst: burst, Churn: extChurn}, query.RetryPolicy{}, "churn"},
 					{retried, faults.Config{Burst: burst}, extRetry, "retry"},
 				} {
-					col := &audit.Collector{}
 					prefix := fmt.Sprintf("2tBins/backcast/%s/burst=%d", variant.tag, burstLen)
-					values, n, err := faultedPoint(prefix, variant.cfg, variant.retry, col, o, ptRoot.Split(uint64(vi+1)))
+					stack := trial.Stack{Faults: &variant.cfg, Retry: variant.retry}
+					_, values, n, err := backcastPoint(prefix, 0, stack, o, ptRoot.Split(uint64(vi+1)))
 					if err != nil {
 						return nil, fmt.Errorf("experiment: ext-faults %s at burst=%d: %w", variant.tag, burstLen, err)
 					}

@@ -378,7 +378,7 @@ func init() {
 			}
 			tab.Add(est)
 			thresh, err := sweep("Threshold (2tBins, t=16)", xs, o, root.Split(3), func(x int) pointCost {
-				return tcastCost(plainAlg(core.TwoTBins{}), defaultN, defaultT, x, fastsim.DefaultConfig(), o)
+				return tcastCost(core.TwoTBins{}, defaultN, defaultT, x, fastsim.DefaultConfig(), o)
 			})
 			if err != nil {
 				return nil, err

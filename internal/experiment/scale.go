@@ -9,6 +9,7 @@ import (
 	"tcast/internal/fastsim"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
+	"tcast/internal/trial"
 )
 
 // ext-scale is the sparse-core scaling study: 2tBins on fields from 10^2
@@ -66,9 +67,9 @@ func init() {
 			micros := &stats.Series{Name: "µs/trial"}
 			kilos := &stats.Series{Name: "KB/trial"}
 			queries := &stats.Series{Name: "queries"}
-			alg := core.TwoTBins{}
 			cfg := fastsim.DefaultConfig()
-			var st trialState
+			var bare trial.Stack
+			var st trial.State
 			var tr rng.Source
 			var m0, m1 runtime.MemStats
 			for _, n := range scaleSweepNs {
@@ -80,17 +81,15 @@ func init() {
 				start := time.Now()
 				for i := 0; i < trials; i++ {
 					point.SplitInto(uint64(i), &tr)
-					tr.SplitInto(1, &st.chr)
-					st.ch.ResetRandom(n, scaleSweepX, cfg, &st.chr)
-					tr.SplitInto(2, &st.algr)
-					res, err := core.RunIn(&st.arena, alg, &st.ch, n, scaleSweepT, &st.algr)
+					sess, err := bare.Run(&st, st.Channel(n, scaleSweepX, cfg, &tr), core.TwoTBins{}, &tr,
+						trial.Trial{Index: i, N: n, T: scaleSweepT, X: scaleSweepX, Stream: 2})
 					if err != nil {
 						return nil, fmt.Errorf("experiment: ext-scale n=%d trial %d: %w", n, i, err)
 					}
-					if !res.Decision {
+					if !sess.Result.Decision {
 						return nil, fmt.Errorf("experiment: ext-scale n=%d trial %d: wrong decision", n, i)
 					}
-					qacc.Observe(float64(res.Queries))
+					qacc.Observe(float64(sess.Result.Queries))
 				}
 				elapsed := time.Since(start)
 				runtime.ReadMemStats(&m1)

@@ -22,6 +22,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -107,7 +108,7 @@ func (c Config) normalized() Config {
 //
 //	burst=L     mean bad-state dwell in steps (PBadGood = 1/L)
 //	frac=F      stationary bad fraction in [0, 1) fixing PGoodBad
-//	            (default 0.2 when burst is set)
+//	            (default 0.2 when burst is set; F/(1-F)/L must be <= 1)
 //	missgood=P  per-reply loss in the good state (default 0)
 //	missbad=P   per-reply loss in the bad state (default 1)
 //	churn=P     per-step crash probability
@@ -116,7 +117,8 @@ func (c Config) normalized() Config {
 //	corrupt=P   per-decode probability the decoded ID is corrupted to a
 //	            uniformly random node (2+ substrates only)
 //
-// The empty string parses to the zero Config.
+// Every value must be a finite number. The empty string parses to the
+// zero Config.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(spec) == "" {
@@ -132,10 +134,18 @@ func ParseSpec(spec string) (Config, error) {
 		if err != nil {
 			return Config{}, fmt.Errorf("faults: %s: %w", key, err)
 		}
+		// NaN slips through every range check below and Inf turns the
+		// burst rates into zeros, so neither may reach a Config.
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return Config{}, fmt.Errorf("faults: %s=%v is not a finite number", key, val)
+		}
 		switch key {
 		case "burst":
 			burstLen = f
 		case "frac":
+			if f < 0 {
+				return Config{}, fmt.Errorf("faults: bad fraction %v must be in [0, 1)", f)
+			}
 			frac = f
 		case "missgood":
 			cfg.Burst.MissGood = f
@@ -171,7 +181,7 @@ func ParseSpec(spec string) (Config, error) {
 	if cfg.Churn.Active() && cfg.Churn.RecoverProb == 0 {
 		cfg.Churn.RecoverProb = 0.1
 	}
-	for _, p := range []float64{cfg.Burst.MissGood, cfg.Burst.MissBad, cfg.Churn.CrashProb, cfg.Churn.RecoverProb, cfg.SkewProb, cfg.DecodeCorruptProb} {
+	for _, p := range []float64{cfg.Burst.PGoodBad, cfg.Burst.MissGood, cfg.Burst.MissBad, cfg.Churn.CrashProb, cfg.Churn.RecoverProb, cfg.SkewProb, cfg.DecodeCorruptProb} {
 		if p < 0 || p > 1 {
 			return Config{}, fmt.Errorf("faults: probability %v outside [0, 1]", p)
 		}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -89,6 +90,16 @@ func TestParseSpec(t *testing.T) {
 		{spec: "bogus=1", wantErr: "unknown key"},
 		{spec: "burst", wantErr: "not key=value"},
 		{spec: "burst=x", wantErr: "invalid syntax"},
+		// Non-finite values pass every range check unless rejected up
+		// front: NaN compares false, Inf zeroes the burst rates.
+		{spec: "skew=NaN", wantErr: "not a finite number"},
+		{spec: "churn=NaN", wantErr: "not a finite number"},
+		{spec: "corrupt=nan", wantErr: "not a finite number"},
+		{spec: "burst=Inf", wantErr: "not a finite number"},
+		{spec: "burst=8,missbad=NaN", wantErr: "not a finite number"},
+		{spec: "burst=8,frac=-Inf", wantErr: "not a finite number"},
+		{spec: "burst=8,frac=-0.5", wantErr: "bad fraction"},
+		{spec: "burst=1,frac=0.9", wantErr: "outside [0, 1]"},
 	}
 	for _, tc := range cases {
 		got, err := ParseSpec(tc.spec)
@@ -229,4 +240,42 @@ func TestLinkBurstLoss(t *testing.T) {
 			t.Fatalf("step %d: inactive link lost a frame", i)
 		}
 	}
+}
+
+// FuzzParseSpec: whatever the input, an accepted spec holds only finite
+// probabilities in [0, 1], and its Config is Active exactly when some
+// fault process can fire — a bad-state chain that can be entered (New
+// defaults an unset MissBad to 1), good-state loss, churn, skew or
+// decode corruption.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", "burst=8,frac=0.2,churn=0.002,recover=0.1,skew=0.01",
+		"burst=2,frac=0.5,missbad=0.8", "missgood=0.1", "corrupt=0.05",
+		"burst=8,missbad=NaN", "skew=Inf", "burst=1,frac=0.9", "frac=0.2",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		probs := map[string]float64{
+			"PGoodBad": cfg.Burst.PGoodBad, "PBadGood": cfg.Burst.PBadGood,
+			"MissGood": cfg.Burst.MissGood, "MissBad": cfg.Burst.MissBad,
+			"CrashProb": cfg.Churn.CrashProb, "RecoverProb": cfg.Churn.RecoverProb,
+			"SkewProb": cfg.SkewProb, "DecodeCorruptProb": cfg.DecodeCorruptProb,
+		}
+		for name, p := range probs {
+			if math.IsNaN(p) || p < 0 || p > 1 {
+				t.Fatalf("ParseSpec(%q) accepted %s = %v", spec, name, p)
+			}
+		}
+		n := cfg.normalized()
+		canFire := (n.Burst.PGoodBad > 0 && n.Burst.MissBad > 0) || n.Burst.MissGood > 0 ||
+			n.Churn.CrashProb > 0 || n.SkewProb > 0 || n.DecodeCorruptProb > 0
+		if cfg.Active() != canFire {
+			t.Fatalf("ParseSpec(%q) = %+v: Active() = %v, but a process can fire = %v", spec, cfg, cfg.Active(), canFire)
+		}
+	})
 }

@@ -9,9 +9,15 @@ import (
 	"testing"
 	"time"
 
+	"tcast/internal/audit"
+	"tcast/internal/core"
 	"tcast/internal/fastsim"
+	"tcast/internal/faults"
 	"tcast/internal/metrics"
+	"tcast/internal/obs"
+	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/trial"
 )
 
 // drain tears a test pool down with a bounded context.
@@ -39,32 +45,51 @@ func waitParked(t *testing.T, f *Field, want int64) {
 
 // TestSessionMatchesTcastsim is the acceptance bar for the medium
 // wrapper: a single admitted session's verdict and slot cost must be
-// byte-identical to the same (seed, trial) built the way tcastsim builds
-// it — channel from Split(1), algorithm randomness from Split(2), no
-// medium in the stack.
+// byte-identical to the same (seed, trial) built by hand the way tcastsim
+// builds it — channel from Split(1), faults from Split(9), retry and audit
+// above them, algorithm randomness from Split(2), no medium in the stack.
 func TestSessionMatchesTcastsim(t *testing.T) {
 	cases := []struct {
-		alg   string
-		n, tt int
-		x     int
-		seed  uint64
-		trial int
+		alg     string
+		n, tt   int
+		x       int
+		seed    uint64
+		trial   int
+		faults  string
+		retries int
+		backoff int
+		audit   bool
 	}{
-		{"2tbins", 128, 16, 20, 7, 0},
-		{"2tbins", 128, 16, 12, 2011, 3},
-		{"exp", 256, 32, 40, 42, 1},
-		{"abns-t", 128, 16, 16, 9, 0},
-		{"abns-2t", 128, 16, 8, 11, 2},
-		{"probabns", 128, 16, 24, 13, 0},
-		{"oracle", 128, 16, 15, 17, 0},
+		{alg: "2tbins", n: 128, tt: 16, x: 20, seed: 7},
+		{alg: "2tbins", n: 128, tt: 16, x: 12, seed: 2011, trial: 3},
+		{alg: "exp", n: 256, tt: 32, x: 40, seed: 42, trial: 1},
+		{alg: "abns-t", n: 128, tt: 16, x: 16, seed: 9},
+		{alg: "abns-2t", n: 128, tt: 16, x: 8, seed: 11, trial: 2},
+		{alg: "probabns", n: 128, tt: 16, x: 24, seed: 13},
+		{alg: "oracle", n: 128, tt: 16, x: 15, seed: 17},
+		// Faulted and retried: the injector's Split(9) stream and the
+		// retry meter must line up with tcastsim's derivation.
+		{alg: "2tbins", n: 128, tt: 16, x: 20, seed: 7, faults: "burst=8,frac=0.5", retries: 2, backoff: 1},
+		{alg: "exp", n: 128, tt: 16, x: 12, seed: 5, trial: 4, faults: "burst=4,frac=0.3,churn=0.01,skew=0.02", retries: 1},
+		{alg: "2tbins", n: 128, tt: 16, x: 16, seed: 3, faults: "skew=0.1"},
+		// Audited: the verdict's outcome must match the reference auditor.
+		{alg: "probabns", n: 128, tt: 16, x: 24, seed: 13, audit: true},
+		{alg: "2tbins", n: 128, tt: 16, x: 16, seed: 21, trial: 2, faults: "burst=8,frac=0.5", retries: 2, backoff: 1, audit: true},
 	}
 	p := NewPool(Config{})
 	defer drain(t, p)
 	for _, c := range cases {
 		c := c
-		t.Run(fmt.Sprintf("%s/x=%d/seed=%d", c.alg, c.x, c.seed), func(t *testing.T) {
+		name := fmt.Sprintf("%s/x=%d/seed=%d", c.alg, c.x, c.seed)
+		if c.faults != "" {
+			name += "/faults=" + c.faults + fmt.Sprintf("/retries=%d", c.retries)
+		}
+		if c.audit {
+			name += "/audited"
+		}
+		t.Run(name, func(t *testing.T) {
 			// Reference: tcastsim's trial derivation, contention-free.
-			fac, _, err := algorithmFor(c.alg)
+			alg, err := trial.Algorithm(c.alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,13 +97,45 @@ func TestSessionMatchesTcastsim(t *testing.T) {
 			var src rng.Source
 			root.SplitInto(uint64(c.trial), &src)
 			ch, _ := fastsim.RandomPositives(c.n, c.x, fastsim.DefaultConfig(), src.Split(1))
-			want, err := fac(ch).Run(ch, c.n, c.tt, src.Split(2))
+			if o, ok := alg.(core.Oracle); ok {
+				o.Truth = ch
+				alg = o
+			}
+			fcfg, err := faults.ParseSpec(c.faults)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var q query.Querier = ch
+			if fcfg.Active() {
+				q = faults.New(q, fcfg, c.n, src.Split(9))
+			}
+			q = query.WithRetry(q, query.RetryPolicy{MaxRetries: c.retries, Backoff: c.backoff})
+			attempts := func() int64 { return 0 }
+			if rq, ok := q.(*query.Retry); ok {
+				attempts = func() int64 { return int64(rq.Attempts()) }
+			}
+			var aud *audit.Auditor
+			if c.audit {
+				if aud, err = audit.New(q, audit.Config{N: c.n, T: c.tt}); err != nil {
+					t.Fatal(err)
+				}
+				q = aud
+			}
+			want, err := alg.Run(q, c.n, c.tt, src.Split(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSlots := obs.ChainSlots(q, want.Queries)
+			// The medium sits below the retry layer: it carries every
+			// attempt, one slot each on the meterless channel.
+			wantMedium := int64(want.Queries)
+			if n := attempts(); n > 0 {
+				wantMedium = n
+			}
 
 			s, err := p.Submit(Spec{N: c.n, T: c.tt, X: c.x, Alg: c.alg,
-				Seed: c.seed, Trial: c.trial, Field: -1}, "identity")
+				Seed: c.seed, Trial: c.trial, Field: -1,
+				Faults: c.faults, Retries: c.retries, Backoff: c.backoff, Audit: c.audit}, "identity")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,10 +148,14 @@ func TestSessionMatchesTcastsim(t *testing.T) {
 				t.Fatalf("served (decision=%v polls=%d rounds=%d) != tcastsim (decision=%v polls=%d rounds=%d)",
 					r.Decision, r.Polls, r.Rounds, want.Decision, want.Queries, want.Rounds)
 			}
-			// fastsim has no slot meter below the medium: a poll is one
-			// slot, so the session's own cost equals its poll count.
-			if r.SessionSlots != int64(want.Queries) || r.MediumSlots != int64(want.Queries) {
-				t.Fatalf("slots: session=%d medium=%d, want %d", r.SessionSlots, r.MediumSlots, want.Queries)
+			if r.SessionSlots != wantSlots || r.MediumSlots != wantMedium {
+				t.Fatalf("slots: session=%d medium=%d, want %d and %d", r.SessionSlots, r.MediumSlots, wantSlots, wantMedium)
+			}
+			if aud != nil {
+				if v := aud.Finish(want.Decision); r.Outcome != v.Outcome.String() || r.Correct != v.Correct() {
+					t.Fatalf("served outcome %s (correct=%v), reference verdict %s (correct=%v)",
+						r.Outcome, r.Correct, v.Outcome, v.Correct())
+				}
 			}
 			if r.WaitedSlots != 0 {
 				t.Fatalf("uncontended session waited %d slots", r.WaitedSlots)

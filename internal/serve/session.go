@@ -6,13 +6,11 @@ import (
 	"time"
 
 	"tcast/internal/audit"
-	"tcast/internal/core"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
-	"tcast/internal/metrics"
-	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
+	"tcast/internal/trial"
 )
 
 // Spec is one query session's resolved parameters — the wire request
@@ -121,13 +119,11 @@ type Session struct {
 	waited    int64
 	ownSlots  int64
 
-	// Written by the session goroutine before evDone, read by finish.
-	res        core.Result
-	truth      bool
-	chainSlots int64
-	verdict    *audit.Verdict
-	chain      query.Querier
-	runErr     error
+	// Written by the session goroutine before evDone, read by finish,
+	// which returns st to the trial pool once the result is assembled.
+	st     *trial.State
+	sess   *trial.Session
+	runErr error
 
 	state     atomic.Int32
 	result    *Result
@@ -217,39 +213,13 @@ func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
 	if spec.Model != "1+" && spec.Model != "2+" {
 		return spec, fmt.Errorf("serve: unknown model %q", spec.Model)
 	}
-	if _, _, err := algorithmFor(spec.Alg); err != nil {
-		return spec, err
+	if _, err := trial.Algorithm(spec.Alg); err != nil {
+		return spec, fmt.Errorf("serve: %w", err)
 	}
 	if _, err := faults.ParseSpec(spec.Faults); err != nil {
 		return spec, err
 	}
 	return spec, nil
-}
-
-// algorithmFor maps a wire algorithm name to its factory — the same
-// families tcastsim's -alg accepts, minus the contention-free baselines
-// (csma/seq poll no groups, so they have nothing to schedule on the
-// medium).
-func algorithmFor(name string) (func(*fastsim.Channel) core.Algorithm, string, error) {
-	plain := func(a core.Algorithm) func(*fastsim.Channel) core.Algorithm {
-		return func(*fastsim.Channel) core.Algorithm { return a }
-	}
-	switch name {
-	case "2tbins":
-		return plain(core.TwoTBins{}), "2tBins", nil
-	case "exp":
-		return plain(core.ExpIncrease{}), "ExpIncrease", nil
-	case "abns-t":
-		return plain(core.ABNS{P0: 1}), "ABNS(p0=t)", nil
-	case "abns-2t":
-		return plain(core.ABNS{P0: 2}), "ABNS(p0=2t)", nil
-	case "probabns":
-		return plain(core.ProbABNS{}), "ProbABNS", nil
-	case "oracle":
-		return func(ch *fastsim.Channel) core.Algorithm { return core.Oracle{Truth: ch} }, "Oracle", nil
-	default:
-		return nil, "", fmt.Errorf("serve: unknown algorithm %q (want 2tbins|exp|abns-t|abns-2t|probabns|oracle)", name)
-	}
 }
 
 // run is the session goroutine: acquire a scheduler slot (queueing when
@@ -270,7 +240,6 @@ func (s *Session) run() {
 	f.active.Add(1)
 	p.updateGauges()
 	s.state.Store(int32(StateRunning))
-	obs.PublishSessionStart(p.cfg.Bus, s.label(), s.Spec.Trial)
 	f.events <- schedEvent{kind: evArrive, s: s}
 	s.runErr = s.execute()
 	f.events <- schedEvent{kind: evDone, s: s, cost: s.lastCost}
@@ -281,14 +250,12 @@ func (s *Session) run() {
 	p.release(s)
 }
 
-// execute builds the session's querier stack and runs the algorithm.
-// The derivation mirrors tcastsim's sweep driver exactly — root
-// rng.New(Seed), per-trial SplitInto(Trial), channel from Split(1),
-// faults from Split(9), algorithm from Split(2) — with the medium
-// wrapper (randomness-free, response-preserving) spliced between the
-// substrate and the retry layer. A served session's verdict and
-// SessionSlots are therefore byte-identical to trial Trial of
-// `tcastsim -seed Seed` with the same parameters.
+// execute runs the session as trial Trial of a -seed Seed tcastsim
+// sweep, through the same trial stack, with the medium wrapper
+// (randomness-free, response-preserving) as the stack's hook between the
+// fault injector and the retry layer. A served session's verdict and
+// SessionSlots are therefore byte-identical to that trial's. The bus
+// events close in finish, in scheduler order.
 func (s *Session) execute() error {
 	sp := s.Spec
 	p := s.field.pool
@@ -296,7 +263,7 @@ func (s *Session) execute() error {
 	if sp.Model == "2+" {
 		cfg = fastsim.TwoPlusConfig()
 	}
-	fac, _, err := algorithmFor(sp.Alg)
+	alg, err := trial.Algorithm(sp.Alg)
 	if err != nil {
 		return err
 	}
@@ -304,43 +271,26 @@ func (s *Session) execute() error {
 	if err != nil {
 		return err
 	}
-	root := rng.New(sp.Seed)
-	var src rng.Source
-	root.SplitInto(uint64(sp.Trial), &src)
-	ch, _ := fastsim.RandomPositives(sp.N, sp.X, cfg, src.Split(1))
-	alg := fac(ch)
-	var sub query.Querier = ch
+	stack := trial.Stack{
+		Retry:   query.RetryPolicy{MaxRetries: sp.Retries, Backoff: sp.Backoff},
+		Metrics: p.cfg.Registry,
+		Obs:     p.cfg.Bus,
+	}
 	if fcfg.Active() {
-		sub = faults.New(sub, fcfg, sp.N, src.Split(9))
+		stack.Faults = &fcfg
 	}
-	sub = newMediumQuerier(sub, s)
-	sub = query.WithRetry(sub, query.RetryPolicy{MaxRetries: sp.Retries, Backoff: sp.Backoff})
-	q := metrics.Wrap(sub, p.cfg.Registry)
-	var aud *audit.Auditor
-	if sp.Audit {
-		aud, err = audit.New(q, audit.Config{N: sp.N, T: sp.T, Metrics: p.cfg.Registry})
-		if err != nil {
-			return err
-		}
-		q = aud
-	}
-	if p.cfg.Bus != nil {
-		q = obs.NewPublisher(q, p.cfg.Bus, s.label(), sp.Trial)
-	}
-	s.chain = q
-	res, err := alg.Run(q, sp.N, sp.T, src.Split(2))
+	var src rng.Source
+	rng.New(sp.Seed).SplitInto(uint64(sp.Trial), &src)
+	s.st = trial.Get()
+	s.sess, err = stack.Open(s.st, s.st.Channel(sp.N, sp.X, cfg, &src), alg, &src, trial.Trial{
+		Index: sp.Trial, Label: s.label(), N: sp.N, T: sp.T, X: sp.X, Stream: 2, Audit: sp.Audit,
+		Hook: func(q query.Querier) query.Querier { return newMediumQuerier(q, s) },
+	})
 	if err != nil {
 		return err
 	}
-	s.res = res
-	s.truth = sp.X >= sp.T
-	s.chainSlots = obs.ChainSlots(q, res.Queries)
-	if aud != nil {
-		v := aud.Finish(res.Decision)
-		s.verdict = &v
-	}
-	metrics.FinishSession(q)
-	return nil
+	_, err = s.sess.Run()
+	return err
 }
 
 // finish runs on the field's scheduler goroutine once the session's
@@ -351,27 +301,27 @@ func (s *Session) execute() error {
 func (s *Session) finish(end int64) {
 	p := s.field.pool
 	s.wall = time.Since(s.submitted)
-	bus := p.cfg.Bus
 	if s.runErr == nil {
+		res := s.sess.Result
 		r := &Result{
-			Decision:  s.res.Decision,
-			Truth:     s.truth,
-			Polls:     s.res.Queries,
-			Rounds:    s.res.Rounds,
-			Confirmed: s.res.Confirmed,
+			Decision:  res.Decision,
+			Truth:     s.Spec.X >= s.Spec.T,
+			Polls:     res.Queries,
+			Rounds:    res.Rounds,
+			Confirmed: res.Confirmed,
 
-			SessionSlots: s.chainSlots,
+			SessionSlots: s.sess.Slots(),
 			MediumSlots:  s.ownSlots,
 			WaitedSlots:  s.waited,
 			StartSlot:    s.startSlot,
 			EndSlot:      end,
 			SpanSlots:    end - s.startSlot,
 		}
-		if s.verdict != nil {
-			r.Correct = s.verdict.Correct()
-			r.Outcome = s.verdict.Outcome.String()
+		if s.sess.Audited {
+			r.Correct = s.sess.Verdict.Correct()
+			r.Outcome = s.sess.Verdict.Outcome.String()
 		} else {
-			r.Correct = s.res.Decision == s.truth
+			r.Correct = r.Decision == r.Truth
 			r.Outcome = audit.OutcomeCorrect.String()
 			if !r.Correct {
 				r.Outcome = audit.OutcomeWrongUnattributed.String()
@@ -395,16 +345,12 @@ func (s *Session) finish(end int64) {
 		}
 		s.state.Store(int32(StateFailed))
 	}
-	if bus != nil {
-		label := s.label()
-		obs.PublishChainEvents(bus, label, s.Spec.Trial, s.chain)
-		switch {
-		case s.runErr != nil:
-		case s.verdict != nil:
-			obs.PublishVerdict(bus, label, s.Spec.Trial, *s.verdict, s.chainSlots, s.chain)
-		default:
-			obs.PublishDecision(bus, label, s.Spec.Trial, s.res.Decision, s.truth, s.res.Queries, s.chainSlots)
-		}
+	if s.sess != nil {
+		s.sess.Publish()
+	}
+	if s.st != nil {
+		trial.Put(s.st)
+		s.st, s.sess = nil, nil
 	}
 	close(s.done)
 }

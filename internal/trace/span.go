@@ -312,11 +312,17 @@ func NewSpanQuerier(q query.Querier, b *Builder) *SpanQuerier {
 	return sq
 }
 
+// sessionCloseAttrs is the room StartSession reserves for the session
+// span's closing attributes.
+const sessionCloseAttrs = 12
+
 // StartSession opens the session span. name is typically the algorithm
 // name; extra attributes (n, t, x...) may be attached immediately.
 func (s *SpanQuerier) StartSession(name string, attrs ...Attr) {
 	s.session = s.b.Begin(KindSession, name)
-	s.session.SetAttr(attrs...)
+	// One allocation with room for what EndSession appends (counters,
+	// result, annotators) instead of a regrowth per batch.
+	s.session.Attrs = append(make([]Attr, 0, len(attrs)+sessionCloseAttrs), attrs...)
 	s.polls, s.nodes = 0, 0
 	if s.sampleEvery > 1 {
 		s.sessionKey = hash64(s.sampleKey ^ hashString(name))
