@@ -88,6 +88,7 @@ cover:
 fuzz:
 	$(GO) test -fuzz=FuzzThresholdDecision -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/trace/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

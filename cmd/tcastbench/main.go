@@ -691,7 +691,7 @@ func faultedTrialsBench(spec string) bench {
 				b.Fatal(err)
 			}
 		},
-		// The span recorder discovers the retry middleware's slot meter,
+		// The trial's tap meters polls by the retry layer's slot ledger,
 		// so backoff slots are priced in.
 		traced: costModel(stack, core.TwoTBins{}, poolN, poolT, poolX, 2, channel(poolN, poolX, fastsim.DefaultConfig())),
 	}

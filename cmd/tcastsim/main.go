@@ -263,9 +263,9 @@ func baselineTrial(scheme string, n, t, x int, stack *trial.Stack, run func(n, t
 }
 
 // printTrace renders the sweep's trial 0 poll by poll: the same stream
-// derivation, fault injector and retry policy, with a trace.Recorder
-// outermost, so the dumped polls are exactly the ones the sweep's first
-// trial costs. Baselines have no group polls to trace.
+// derivation, fault injector and retry policy, with a tap carrying a
+// trace.Recorder outermost, so the dumped polls are exactly the ones the
+// sweep's first trial costs. Baselines have no group polls to trace.
 func printTrace(w io.Writer, alg string, n, t, x int, cfg fastsim.Config, stack *trial.Stack, seed uint64) error {
 	a, err := trial.Algorithm(alg)
 	if err != nil {
@@ -279,8 +279,8 @@ func printTrace(w io.Writer, alg string, n, t, x int, cfg fastsim.Config, stack 
 	if err != nil {
 		return err
 	}
-	rec := trace.NewRecorder(sess.Q)
-	sess.Q = rec
+	rec := trace.NewRecorder()
+	sess.Q = query.NewTap(sess.Q, rec)
 	res, err := sess.Run()
 	if err != nil {
 		return err

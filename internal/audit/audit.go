@@ -1,7 +1,7 @@
 // Package audit is the ground-truth half of the observability stack: an
-// oracle-backed query.Querier middleware that grades every poll response
-// against the substrate's true positive set and checks the initiator's
-// Knowledge invariants as the session runs.
+// oracle-backed query.Observer that grades every poll response against
+// the substrate's true positive set and checks the initiator's Knowledge
+// invariants as the session runs.
 //
 // The metrics layer (PR 1) counts what happened and the trace layer (PR 2)
 // records when; neither can say whether a response was *sound*, because
@@ -13,10 +13,9 @@
 // poll, and account each node's channel occupancy in tx/rx/idle-listen
 // slots for observed-energy billing.
 //
-// Like the other two layers the auditor is a query.Wrapper: it composes
-// with metrics.InstrumentedQuerier and trace.SpanQuerier in any stacking
-// order, consumes no randomness, and never mutates bins or responses, so
-// an audited run is bit-identical to a bare one.
+// Like the other observers it sees only the poll records a query.Tap
+// fans out, consumes no randomness, and never mutates bins or responses,
+// so an audited run is bit-identical to a bare one.
 package audit
 
 import (
@@ -264,7 +263,7 @@ const (
 // Config configures an Auditor.
 type Config struct {
 	// Truth is the ground-truth oracle; nil discovers it from the
-	// substrate at the root of the wrapped querier chain.
+	// substrate at the root of the querier chain Reset is given.
 	Truth Truth
 	// N is the participant population {0..N-1} and T the session's
 	// threshold.
@@ -274,15 +273,20 @@ type Config struct {
 	// Lossless overrides substrate lossless detection: the Knowledge
 	// bound invariants (LowerBound ≤ true x ≤ UpperBound) are only
 	// checked on lossless substrates, where every response is sound by
-	// construction. Nil asks the substrate (its Lossless method).
+	// construction. Nil asks the chain: the substrate's Lossless report
+	// (false without one), vetoed by any layer above it that reports false.
 	Lossless *bool
 }
 
-// Auditor is the ground-truth grading middleware. Not safe for concurrent
-// use; each session gets its own Auditor, like the other observability
-// layers.
+// Auditor is the ground-truth grading observer. Not safe for concurrent
+// use; each session gets its own Auditor, like the other observers.
+//
+// The embedded tap is the one New binds, so an auditor from New is
+// itself the querier to poll; an auditor observing a shared tap leaves
+// it unused.
 type Auditor struct {
-	q        query.Querier
+	query.Tap
+	traits   query.Traits
 	truth    Truth
 	n, t     int
 	trueX    int
@@ -303,24 +307,23 @@ type Auditor struct {
 	mViolations [NumInvariants]*metrics.Counter
 }
 
-// New wraps q with a ground-truth auditor. When cfg.Truth is nil the
-// substrate at the root of q's middleware chain must implement Truth;
-// likewise cfg.Lossless defaults to the substrate's own Lossless report
-// (false when it has none).
+// New returns q behind a tap carrying a fresh auditor, which is the
+// tap: poll it, then Finish it.
 func New(q query.Querier, cfg Config) (*Auditor, error) {
 	a := &Auditor{}
+	a.Tap.Reset(q, nil, []query.Observer{a})
 	if err := a.Reset(q, cfg); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// Reset re-targets an existing auditor at a fresh session, reusing its
-// shadow Knowledge bitset, poll/violation slices, and the node account's
-// map buckets. A pooled trial loop resets one auditor per worker instead
-// of allocating O(N) state per session; after Reset the auditor is
-// indistinguishable from a freshly New'd one, but any previously
-// returned Verdict's Nodes account is invalidated.
+// Reset re-targets the auditor at a fresh session over q (the radio
+// traits, and the Config fields left nil), reusing its shadow Knowledge
+// bitset, poll/violation slices, and the node account's map buckets, so
+// a pooled trial loop resets one auditor per worker instead of
+// allocating O(N) state per session. Any previously returned Verdict's
+// Nodes account is invalidated. An auditor from New re-targets its tap.
 func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 	if q == nil {
 		return fmt.Errorf("audit: nil querier")
@@ -328,9 +331,9 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 	if cfg.N < 0 || cfg.T < 0 {
 		return fmt.Errorf("audit: negative population n=%d or threshold t=%d", cfg.N, cfg.T)
 	}
-	root := query.Root(q)
 	truth := cfg.Truth
 	if truth == nil {
+		root := query.Root(q)
 		var ok bool
 		truth, ok = root.(Truth)
 		if !ok {
@@ -340,26 +343,25 @@ func (a *Auditor) Reset(q query.Querier, cfg Config) error {
 	lossless := false
 	if cfg.Lossless != nil {
 		lossless = *cfg.Lossless
-	} else if _, ok := root.(interface{ Lossless() bool }); ok {
+	} else if _, ok := query.Root(q).(interface{ Lossless() bool }); ok {
 		// The bound invariants need every layer sound, not just the
 		// substrate: a middleware that injects loss of its own (the
 		// faults injector) sits above a lossless medium, and grading
 		// LB <= x <= UB there would report spurious violations. Walk the
 		// whole chain and let any layer that reports losslessness veto.
 		lossless = true
-		for walk := q; walk != nil; {
-			if ll, ok := walk.(interface{ Lossless() bool }); ok && !ll.Lossless() {
+		query.Walk(q, func(l query.Querier) bool {
+			if ll, ok := l.(interface{ Lossless() bool }); ok && !ll.Lossless() {
 				lossless = false
-				break
 			}
-			w, ok := walk.(query.Wrapper)
-			if !ok {
-				break
-			}
-			walk = w.Unwrap()
-		}
+			return lossless
+		})
 	}
-	a.q = q
+	if a.Tap.Unwrap() != nil {
+		meter, _ := query.Find[query.SlotMeter](q)
+		a.Tap.Reset(q, meter, a.Tap.Observers())
+	}
+	a.traits = q.Traits()
 	a.truth = truth
 	a.n, a.t = cfg.N, cfg.T
 	a.lossless = lossless
@@ -413,37 +415,21 @@ func (a *Auditor) TrueX() int { return a.trueX }
 // Lossless reports whether the bound invariants are being checked.
 func (a *Auditor) Lossless() bool { return a.lossless }
 
-// Query implements query.Querier: forward the poll untouched, then grade
-// the response against ground truth and fold it into the shadow ledger.
-func (a *Auditor) Query(bin []int) query.Response {
-	resp := a.q.Query(bin)
-	a.grade(bin, resp)
-	return resp
-}
+// ObservePoll implements query.Observer: grade the response against
+// ground truth and fold it into the shadow ledger.
+func (a *Auditor) ObservePoll(p *query.Poll) { a.grade(p.Bin, p.Response) }
 
-// Traits implements query.Querier.
-func (a *Auditor) Traits() query.Traits { return a.q.Traits() }
-
-// Unwrap implements query.Wrapper, so the auditor composes with the
-// metrics and trace layers in any stacking order.
-func (a *Auditor) Unwrap() query.Querier { return a.q }
-
-// TraceRound forwards the algorithms' round-boundary hook and resets the
-// shadow ledger's per-round lower bound, mirroring the session's own
-// StartRound (core.runRound fires the hook before StartRound, with no
-// polls in between, so the two ledgers stay in lockstep).
-func (a *Auditor) TraceRound(round int) {
-	a.shadow.StartRound()
-	if rt, ok := a.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
+// ObserveRound implements query.Observer: it resets the shadow ledger's
+// per-round lower bound, mirroring the session's own StartRound
+// (core.runRound fires the round hook before StartRound, with no polls
+// in between, so the two ledgers stay in lockstep).
+func (a *Auditor) ObserveRound(int) { a.shadow.StartRound() }
 
 // grade classifies one response, checks the Knowledge invariants around a
 // shadow Apply, and accounts the poll's channel occupancy.
 func (a *Auditor) grade(bin []int, resp query.Response) {
 	idx := len(a.polls)
-	traits := a.q.Traits()
+	traits := a.traits
 
 	for _, id := range bin {
 		if id < 0 || id >= a.n || !a.shadow.Candidates.Contains(id) {
@@ -500,7 +486,7 @@ func (a *Auditor) violate(poll int, inv Invariant, detail string) {
 }
 
 // Finish grades the finished session's decision and returns the Verdict.
-// Call it before trace.SpanQuerier.EndSession so the causal-poll
+// Call it before trace.SpanRecorder.EndSession so the causal-poll
 // attributes land on the closing session span.
 func (a *Auditor) Finish(decision bool) Verdict {
 	truth := a.trueX >= a.t
@@ -558,9 +544,9 @@ func attribute(decision, truth bool, polls []PollRecord) (Outcome, int) {
 	return OutcomeWrongAlgorithm, -1
 }
 
-// TraceAttrs implements trace.Annotator: session spans closing above the
-// auditor carry the grading summary, and — once Finish has run — the
-// verdict with its causal poll.
+// TraceAttrs implements trace.Annotator: session spans it annotates carry
+// the grading summary, and — once Finish has run — the verdict with its
+// causal poll.
 func (a *Auditor) TraceAttrs() []trace.Attr {
 	attrs := []trace.Attr{
 		trace.IntAttr("audit_true_x", a.trueX),

@@ -248,7 +248,7 @@ type ReplayPoll struct {
 }
 
 // GradeReplay grades a finished session from its poll record — the path
-// for substrates that cannot host the middleware (the emulated mote
+// for substrates that cannot host a live auditor (the emulated mote
 // testbed replays the initiator's poll log). It applies exactly the same
 // classification and attribution as the live Auditor; it does not check
 // Knowledge invariants or fill slot ledgers, because the replay does not

@@ -162,10 +162,9 @@ type roundOutcome struct {
 // the threshold question resolves (Algorithm 1 lines 11 and 14).
 func (s *session) runRound(b int) roundOutcome {
 	s.res.Rounds++
-	// Round boundary hook for structured tracing: queriers that implement
-	// trace.SpanQuerier's TraceRound (asserted anonymously so core does
-	// not depend on the trace package) learn where each re-binning round
-	// starts. The hook receives no channel data and consumes no
+	// Round boundary hook: queriers that implement query.Tap's
+	// TraceRound (asserted anonymously so core depends on no observer)
+	// learn where each re-binning round starts. The hook receives no channel data and consumes no
 	// randomness, so traced and bare runs are bit-identical.
 	if rt, ok := s.q.(interface{ TraceRound(round int) }); ok {
 		rt.TraceRound(s.res.Rounds)
@@ -200,7 +199,7 @@ func (s *session) runRound(b int) roundOutcome {
 // frozen into a rank directory, one 64-bit key replaces the Fisher-Yates
 // shuffle, and each bin is decoded rank-by-rank into one pooled buffer
 // just-in-time for its poll. The querier still receives a materialized
-// []int per poll — bins must stay concrete for the middleware stack
+// []int per poll — bins must stay concrete for the layers above it
 // (metrics, trace, audit, faults all account bin members) — but only one
 // bin exists at a time, so a round's footprint is O(n/b), not O(n).
 // Candidate eliminations during the round do not affect the partition:

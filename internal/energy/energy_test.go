@@ -7,6 +7,7 @@ import (
 
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
+	"tcast/internal/query"
 	"tcast/internal/rng"
 	"tcast/internal/timing"
 	"tcast/internal/trace"
@@ -47,8 +48,8 @@ func tracedSession(t *testing.T, n, th, x int, seed uint64) (*trace.Recorder, co
 	t.Helper()
 	r := rng.New(seed)
 	ch, _ := fastsim.RandomPositives(n, x, fastsim.DefaultConfig(), r.Split(1))
-	rec := trace.NewRecorder(ch)
-	res, err := (core.TwoTBins{}).Run(rec, n, th, r.Split(2))
+	rec := trace.NewRecorder()
+	res, err := (core.TwoTBins{}).Run(query.NewTap(ch, rec), n, th, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}

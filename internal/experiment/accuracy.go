@@ -5,7 +5,6 @@ import (
 
 	"tcast/internal/audit"
 	"tcast/internal/core"
-	"tcast/internal/obs"
 	"tcast/internal/pollcast"
 	"tcast/internal/query"
 	"tcast/internal/radio"
@@ -75,7 +74,7 @@ func backcastPoint(prefix string, miss float64, stack trial.Stack, o Options, ro
 		}
 		v := sess.Verdict
 		if !v.Correct() {
-			if cause := obs.DescribeCause(sess.Q, v.CausalPoll); cause != "" {
+			if cause := sess.Cause(); cause != "" {
 				sess.Label += " [" + cause + "]"
 				attributed[i] = true
 			}

@@ -12,6 +12,7 @@ import (
 	"tcast/internal/kplus"
 	"tcast/internal/multihop"
 	"tcast/internal/pollcast"
+	"tcast/internal/query"
 	"tcast/internal/rng"
 	"tcast/internal/stats"
 	"tcast/internal/timing"
@@ -169,8 +170,8 @@ func init() {
 			tcastEnergy, err := sweep("tcast (2tBins/backcast)", xs, o, root.Split(1), func(x int) pointCost {
 				return func(_ int, r *rng.Source) (float64, error) {
 					ch, _ := fastsim.RandomPositives(defaultN, x, fastsim.DefaultConfig(), r.Split(1))
-					rec := trace.NewRecorder(ch)
-					res, err := (core.TwoTBins{}).Run(rec, defaultN, defaultT, r.Split(2))
+					rec := trace.NewRecorder()
+					res, err := (core.TwoTBins{}).Run(query.NewTap(ch, rec), defaultN, defaultT, r.Split(2))
 					if err != nil {
 						return 0, err
 					}

@@ -9,11 +9,11 @@
 //
 // Every fault draw comes from a dedicated rng.Source stream handed to the
 // injector at construction, never from the substrate's own stream, so a
-// faulted run is byte-reproducible and composes with the metrics, trace
-// and audit layers in any stacking order. A configured-but-all-zero
-// injector consumes no randomness at all and forwards bins untouched,
-// which makes a zero-rate faulted run byte-identical to a bare one — the
-// reproducibility contract the experiment harness's property test pins.
+// faulted run is byte-reproducible whatever observes it. A
+// configured-but-all-zero injector consumes no randomness at all and
+// forwards bins untouched, which makes a zero-rate faulted run
+// byte-identical to a bare one — the reproducibility contract the
+// experiment harness's property test pins.
 //
 // The Injector wraps a query.Querier (any substrate); Medium wraps a
 // radio.Channel for packet-level injection below a pollcast session or
@@ -257,11 +257,10 @@ type Counts struct {
 	Corrupted int // decoded IDs corrupted in flight
 }
 
-// Injector wraps a query.Querier and degrades its polls. It implements
-// query.Wrapper, so the observability layers compose with it in any
-// order; it is stacked directly above the substrate (below metrics, audit
-// and trace), so the auditor grades the degraded responses against
-// ground truth and attributes the resulting wrong decisions.
+// Injector wraps a query.Querier and degrades its polls. It is stacked
+// directly above the substrate (below the observation tap), so the
+// auditor grades the degraded responses against ground truth and
+// attributes the resulting wrong decisions.
 //
 // Mechanically, a faulted poll filters the queried bin before it reaches
 // the substrate: a down node never hears the poll, and a node whose link
@@ -394,17 +393,9 @@ func (j *Injector) filter(bin []int, pf *PollFault) []int {
 // Traits implements query.Querier.
 func (j *Injector) Traits() query.Traits { return j.q.Traits() }
 
-// Unwrap implements query.Wrapper, so audit discovers the substrate's
-// ground truth through the injector and the trace layer finds the
-// substrate's slot meter below it.
+// Unwrap implements query.Wrapper, so chain searches (audit's truth
+// discovery, a tap's slot meter) see through the injector.
 func (j *Injector) Unwrap() query.Querier { return j.q }
-
-// TraceRound forwards the algorithms' round-boundary hook down the chain.
-func (j *Injector) TraceRound(round int) {
-	if rt, ok := j.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
 
 // Lossless implements the audit layer's conjunctive losslessness probe: an
 // active injector can drop replies, so the bound invariants must not be

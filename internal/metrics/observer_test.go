@@ -24,7 +24,8 @@ func kindValue(t *testing.T, s Snapshot, kind string) int64 {
 func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 	m := New()
 	ch, _ := fastsim.RandomPositives(64, 10, fastsim.TwoPlusConfig(), rng.New(3))
-	iq := NewInstrumentedQuerier(ch, m)
+	o := NewObserver(m)
+	q := query.NewTap(ch, o)
 	members := make([]int, 64)
 	for i := range members {
 		members[i] = i
@@ -34,10 +35,10 @@ func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		lo := int(r.Uint64() % 60)
 		hi := lo + 1 + int(r.Uint64()%4)
-		iq.Query(members[lo:hi])
+		q.Query(members[lo:hi])
 		polls++
 	}
-	iq.Finish()
+	o.Finish()
 
 	s := m.Snapshot()
 	var perKind int64
@@ -61,15 +62,16 @@ func TestInstrumentedQuerierPartitionsPolls(t *testing.T) {
 	}
 }
 
-// TestInstrumentedQuerierTransparent proves the middleware does not
-// perturb the query stream: the same algorithm run against the same seed
-// sees identical responses with and without instrumentation.
+// TestInstrumentedQuerierTransparent proves an instrumented querier (a
+// tap carrying an Observer) does not perturb the query stream: the same
+// algorithm run against the same seed sees identical responses with and
+// without instrumentation.
 func TestInstrumentedQuerierTransparent(t *testing.T) {
 	run := func(instrument bool) []query.Response {
 		ch, _ := fastsim.RandomPositives(32, 7, fastsim.TwoPlusConfig(), rng.New(11))
 		var q query.Querier = ch
 		if instrument {
-			q = NewInstrumentedQuerier(ch, New())
+			q = Wrap(ch, New())
 		}
 		members := make([]int, 32)
 		for i := range members {
@@ -96,7 +98,7 @@ func TestWrapNilRegistry(t *testing.T) {
 	}
 	m := New()
 	w := Wrap(ch, m)
-	if _, ok := w.(*InstrumentedQuerier); !ok {
+	if tap, ok := w.(*query.Tap); !ok || len(tap.Observers()) != 1 {
 		t.Fatalf("Wrap returned %T", w)
 	}
 	// FinishSession must be a no-op on unwrapped queriers and record on
@@ -111,7 +113,7 @@ func TestWrapNilRegistry(t *testing.T) {
 
 func TestRecordMatchesQueryInstruments(t *testing.T) {
 	m := New()
-	iq := NewInstrumentedQuerier(nil, m)
+	iq := NewObserver(m)
 	iq.Record(query.Empty, 3)
 	iq.Record(query.Active, 5)
 	kinds, nodes := iq.Session()
@@ -141,12 +143,12 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			ch, _ := fastsim.RandomPositives(64, 12, fastsim.DefaultConfig(), rng.New(uint64(s)))
-			iq := NewInstrumentedQuerier(ch, m)
+			q := Wrap(ch, m)
 			bin := []int{1, 2, 3}
 			for i := 0; i < pollsPer; i++ {
-				iq.Query(bin)
+				q.Query(bin)
 			}
-			iq.Finish()
+			FinishSession(q)
 		}(s)
 	}
 	wg.Wait()

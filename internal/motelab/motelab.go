@@ -243,15 +243,15 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 		}
 
 		if m := l.cfg.Metrics; m != nil {
-			iq := metrics.NewInstrumentedQuerier(nil, m)
+			mo := metrics.NewObserver(m)
 			for _, rec := range outcome.Trace {
 				kind := query.Active
 				if rec.Empty {
 					kind = query.Empty
 				}
-				iq.Record(kind, len(rec.Bin))
+				mo.Record(kind, len(rec.Bin))
 			}
-			iq.Finish()
+			mo.Finish()
 		}
 		if b := l.cfg.Trace; b != nil {
 			// Replay the initiator's poll record as spans. Backcast
@@ -319,7 +319,7 @@ func (l *Lab) RunBatch(threshold, x, repeats int) (Stats, error) {
 				}
 				// Backcast charges 3 RCD slots per group query; there is no
 				// querier chain to walk on the replay path.
-				obs.PublishVerdict(bus, label, rep, v, int64(3*len(polls)), nil)
+				obs.PublishVerdict(bus, label, rep, v, int64(3*len(polls)), "")
 			}
 		}
 

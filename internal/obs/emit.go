@@ -22,10 +22,10 @@ func PublishSessionStart(b *Bus, session string, trial int) {
 
 // PublishVerdict closes one audited session on the bus: the verdict event
 // itself, one anomaly per Knowledge-invariant violation, and — for a
-// wrong decision — a wrong-verdict anomaly carrying the causal poll,
-// joined through q's middleware chain to the injected fault that explains
-// it when one does. The anomaly events are what trip the flight recorder.
-func PublishVerdict(b *Bus, session string, trial int, v audit.Verdict, slots int64, q query.Querier) {
+// wrong decision — a wrong-verdict anomaly carrying the causal poll and
+// cause, the injected fault that explains it (DescribeCause; empty when
+// none does). The anomaly events are what trip the flight recorder.
+func PublishVerdict(b *Bus, session string, trial int, v audit.Verdict, slots int64, cause string) {
 	if b == nil {
 		return
 	}
@@ -50,7 +50,7 @@ func PublishVerdict(b *Bus, session string, trial int, v audit.Verdict, slots in
 		v.Decision, v.Truth, v.TrueX, v.Outcome)
 	if v.CausalPoll >= 0 {
 		detail += fmt.Sprintf("; causal poll %d (%s)", v.CausalPoll, v.CausalClass)
-		if cause := DescribeCause(q, v.CausalPoll); cause != "" {
+		if cause != "" {
 			detail += ", " + cause
 		}
 	}
@@ -89,16 +89,15 @@ func PublishDecision(b *Bus, session string, trial int, decision, truth bool, po
 	})
 }
 
-// PublishChainEvents drains a finished session's middleware chain onto
-// the bus: one KindFault event per injected fault (Poll is the
-// substrate-level attempt index of the injector's own log) and a
-// KindRetryExhausted event when any poll spent its whole retry budget on
-// silence.
-func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
+// PublishChainEvents drains a finished session's retry layer and fault
+// injector (either may be nil) onto the bus: one KindFault event per
+// injected fault (Poll is the substrate-level attempt index of the
+// injector's own log) and a KindRetryExhausted event when any poll spent
+// its whole retry budget on silence.
+func PublishChainEvents(b *Bus, session string, trial int, rq *query.Retry, inj *faults.Injector) {
 	if b == nil {
 		return
 	}
-	rq, inj := chainLayers(q)
 	if inj != nil {
 		for _, pf := range inj.Events() {
 			b.Publish(Event{
@@ -122,55 +121,25 @@ func PublishChainEvents(b *Bus, session string, trial int, q query.Querier) {
 	}
 }
 
-// ChainSlots walks q outermost-first for a virtual-time slot meter — the
-// same discovery the trace span recorder does, so verdict events price
+// ChainSlots prices a finished session by the outermost slot meter in
+// q's chain — the meter a tap over q reads, so verdict events price
 // sessions identically to spans. Substrates without a meter (the
 // abstract fastsim channel) cost one slot per poll; fallbackPolls covers
 // them.
 func ChainSlots(q query.Querier, fallbackPolls int) int64 {
-	for walk := q; walk != nil; {
-		if sc, ok := walk.(interface{ Slots() int }); ok {
-			return int64(sc.Slots())
-		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
+	if m, ok := query.Find[query.SlotMeter](q); ok {
+		return int64(m.Slots())
 	}
 	return int64(fallbackPolls)
 }
 
-// chainLayers finds the outermost retry layer and fault injector in q's
-// middleware chain (nil when absent).
-func chainLayers(q query.Querier) (rq *query.Retry, inj *faults.Injector) {
-	for walk := q; walk != nil; {
-		if r, ok := walk.(*query.Retry); ok && rq == nil {
-			rq = r
-		}
-		if j, ok := walk.(*faults.Injector); ok && inj == nil {
-			inj = j
-		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
-	return rq, inj
-}
-
 // DescribeCause joins an audited causal poll to the injected fault that
-// explains it: the retry layer renumbers polls (one audited poll spans
-// several attempts), so the index maps through DownstreamPoll before the
-// injector's event log is consulted. Empty when no injected fault
-// touched the poll.
-func DescribeCause(q query.Querier, causal int) string {
-	if causal < 0 {
-		return ""
-	}
-	rq, inj := chainLayers(q)
-	if inj == nil {
+// explains it: the retry layer (nil when absent) renumbers polls (one
+// audited poll spans several attempts), so the index maps through
+// DownstreamPoll before the injector's event log is consulted. Empty
+// when there is no injector or no injected fault touched the poll.
+func DescribeCause(rq *query.Retry, inj *faults.Injector, causal int) string {
+	if causal < 0 || inj == nil {
 		return ""
 	}
 	if rq != nil {

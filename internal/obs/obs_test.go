@@ -69,8 +69,8 @@ func TestBusNilSafe(t *testing.T) {
 	}
 	PublishSessionStart(nil, "s", 0)
 	PublishDecision(nil, "s", 0, true, true, 1, 1)
-	PublishChainEvents(nil, "s", 0, nil)
-	PublishVerdict(nil, "s", 0, audit.Verdict{}, 0, nil)
+	PublishChainEvents(nil, "s", 0, nil, nil)
+	PublishVerdict(nil, "s", 0, audit.Verdict{}, 0, "")
 }
 
 func TestBusReentrantPublish(t *testing.T) {
@@ -401,9 +401,9 @@ func TestPublishChainEventsRetryExhaustion(t *testing.T) {
 	b := NewBus()
 	var c collect
 	b.Subscribe(&c)
-	rq := query.WithRetry(stubQuerier{}, query.RetryPolicy{MaxRetries: 2, Backoff: 1})
+	rq := query.WithRetry(stubQuerier{}, query.RetryPolicy{MaxRetries: 2, Backoff: 1}).(*query.Retry)
 	rq.Query([]int{1}) // all attempts silent -> exhausted
-	PublishChainEvents(b, "sess", 0, rq)
+	PublishChainEvents(b, "sess", 0, rq, nil)
 	var found bool
 	for _, e := range c.all() {
 		if e.Kind == KindRetryExhausted {
@@ -430,7 +430,7 @@ func TestPublishVerdictAnomalies(t *testing.T) {
 			{Poll: 2, Invariant: audit.InvariantBinSubset, Detail: "bound broken"},
 		},
 	}
-	PublishVerdict(b, "sess", 1, v, 36, nil)
+	PublishVerdict(b, "sess", 1, v, 36, "")
 	var verdicts, wrong, invariant int
 	for _, e := range c.all() {
 		switch {

@@ -114,8 +114,8 @@ func TestElapsedMatchesAnalyticModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := trace.NewRecorder(s)
-	res, err := (core.TwoTBins{}).Run(rec, n, th, r.Split(3))
+	rec := trace.NewRecorder()
+	res, err := (core.TwoTBins{}).Run(query.NewTap(s, rec), n, th, r.Split(3))
 	if err != nil {
 		t.Fatal(err)
 	}

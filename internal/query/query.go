@@ -178,12 +178,9 @@ type Querier interface {
 	Traits() Traits
 }
 
-// Wrapper is implemented by querier middleware (trace recorders, metric
-// instrumenters) that delegates to an underlying Querier. It lets
-// stacked middleware be walked without knowing the stacking order, so
-// layers compose in either order: helpers that need a specific layer
-// (metrics.FinishSession, the trace span recorder's substrate annotation)
-// search the chain instead of type-asserting the outermost querier.
+// Wrapper is implemented by querier middleware (taps, retry, the fault
+// injector) that delegates to an underlying Querier, so Walk can search a
+// chain without knowing its stacking order.
 type Wrapper interface {
 	Unwrap() Querier
 }
@@ -191,17 +188,9 @@ type Wrapper interface {
 // Root follows Unwrap to the innermost Querier — the substrate below
 // every middleware layer.
 func Root(q Querier) Querier {
-	for {
-		w, ok := q.(Wrapper)
-		if !ok {
-			return q
-		}
-		inner := w.Unwrap()
-		if inner == nil {
-			return q
-		}
-		q = inner
-	}
+	root := q
+	Walk(q, func(l Querier) bool { root = l; return true })
+	return root
 }
 
 // Counting wraps a Querier and counts issued queries — the paper's cost

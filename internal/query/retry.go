@@ -19,8 +19,8 @@ type RetryPolicy struct {
 func (p RetryPolicy) Active() bool { return p.MaxRetries > 0 }
 
 // Retry is the middleware implementing RetryPolicy. It sits directly
-// above the substrate (or the fault injector), below the observability
-// layers, so metrics/audit/trace see one poll per algorithm query — the
+// above the substrate (or the fault injector), below the observation
+// tap, so metrics/audit/trace see one poll per algorithm query — the
 // final response — while the virtual-time cost of every attempt and
 // backoff wait stays honest through Slots. Retry consumes no randomness.
 type Retry struct {
@@ -33,7 +33,7 @@ type Retry struct {
 	// grab an intermediate layer — another Retry, or any middleware
 	// forwarding the substrate's Slots() — and misprice stacked policies:
 	// a forwarded meter hides the backoff of retry layers beneath it.
-	meter interface{ Slots() int }
+	meter SlotMeter
 	// below lists the Retry layers between this one and the substrate,
 	// outermost first; their backoff waits (and, with no substrate meter,
 	// the deepest layer's attempt count) complete the slot ledger.
@@ -53,24 +53,16 @@ func WithRetry(q Querier, p RetryPolicy) Querier {
 		return q
 	}
 	r := &Retry{q: q, policy: p}
-	for walk := q; ; {
-		if rr, ok := walk.(*Retry); ok {
+	Walk(q, func(l Querier) bool {
+		if rr, ok := l.(*Retry); ok {
 			r.below = append(r.below, rr)
-		} else if sc, ok := walk.(interface{ Slots() int }); ok {
+		} else if sc, ok := l.(SlotMeter); ok {
 			// Keep walking: a deeper counter supersedes this one, so the
 			// binding lands on the substrate's own meter.
 			r.meter = sc
 		}
-		w, ok := walk.(Wrapper)
-		if !ok {
-			break
-		}
-		inner := w.Unwrap()
-		if inner == nil {
-			break
-		}
-		walk = inner
-	}
+		return true
+	})
 	return r
 }
 
@@ -110,21 +102,14 @@ func (r *Retry) Traits() Traits { return r.q.Traits() }
 // Unwrap implements Wrapper.
 func (r *Retry) Unwrap() Querier { return r.q }
 
-// TraceRound forwards the algorithms' round-boundary hook down the chain.
-func (r *Retry) TraceRound(round int) {
-	if rt, ok := r.q.(interface{ TraceRound(round int) }); ok {
-		rt.TraceRound(round)
-	}
-}
-
-// Slots is the virtual-time ledger the trace layer meters sessions by:
+// Slots is the virtual-time ledger a tap meters polls by:
 // the substrate's own slot count (or one slot per attempt when it has no
 // meter) plus every backoff wait of every retry layer in the chain. With
 // no substrate meter the deepest retry layer's attempt count is the true
 // downstream poll count — this layer's own attempts undercount when a
-// layer beneath it re-polls. The span recorder finds the outermost retry
-// first when walking the chain, so retried polls are priced at their full
-// cost instead of the one-poll default.
+// layer beneath it re-polls. A tap above the chain meters by the
+// outermost retry, so retried polls are priced at their full cost
+// instead of the one-poll default.
 func (r *Retry) Slots() int {
 	slots := r.backoff
 	for _, rr := range r.below {

@@ -205,24 +205,15 @@ type mediumQuerier struct {
 	// meter is the outermost slot meter below this wrapper (nil on the
 	// abstract fastsim channel); its per-poll delta prices the medium
 	// occupancy, one slot per poll otherwise.
-	meter interface{ Slots() int }
+	meter query.SlotMeter
 	last  int
 }
 
 // newMediumQuerier wraps inner, discovering its slot meter.
 func newMediumQuerier(inner query.Querier, s *Session) *mediumQuerier {
 	m := &mediumQuerier{inner: inner, s: s}
-	for walk := inner; walk != nil; {
-		if sc, ok := walk.(interface{ Slots() int }); ok {
-			m.meter = sc
-			m.last = sc.Slots()
-			break
-		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
+	if meter, ok := query.Find[query.SlotMeter](inner); ok {
+		m.meter, m.last = meter, meter.Slots()
 	}
 	return m
 }
@@ -248,6 +239,6 @@ func (m *mediumQuerier) Query(bin []int) query.Response {
 // Traits implements query.Querier.
 func (m *mediumQuerier) Traits() query.Traits { return m.inner.Traits() }
 
-// Unwrap implements query.Wrapper, so audit's ground-truth discovery and
-// the slot-meter walks see through the medium.
+// Unwrap implements query.Wrapper, so chain searches see through the
+// medium.
 func (m *mediumQuerier) Unwrap() query.Querier { return m.inner }

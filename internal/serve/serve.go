@@ -17,8 +17,8 @@
 // byte-identical to the same seed run through tcastsim.
 //
 // The rest of the stack is reused wholesale: sessions run the core
-// algorithms through query.Querier, optionally stacked with the faults
-// injector, retry middleware and the audit grader, and every lifecycle
+// algorithms through query.Querier, optionally over the faults injector
+// and retry middleware and observed by the audit grader, and every lifecycle
 // event lands on the obs plane's bus, so /metrics, /healthz, /slo and
 // /events are the service's ops story for free.
 package serve

@@ -152,3 +152,48 @@ func TestDiffLengthMismatch(t *testing.T) {
 		t.Fatalf("length mismatch missed: %+v", d)
 	}
 }
+
+// FuzzDecode: any input Decode accepts re-encodes to bytes that decode to
+// a Diff-identical trace, and re-encoding those is byte-stable. Every
+// span kind's name parses back to the kind.
+func FuzzDecode(f *testing.F) {
+	for k := trace.SpanKind(0); int(k) < trace.NumSpanKinds; k++ {
+		if got, err := trace.ParseSpanKind(k.String()); err != nil || got != k {
+			f.Fatalf("ParseSpanKind(%q) = %v, %v", k.String(), got, err)
+		}
+	}
+	root := rng.New(7)
+	for i := 0; i < 4; i++ {
+		enc, err := trace.EncodeBytes(randomTrace(root.Split(uint64(i))))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte(`{"schema":"tcast-trace","version":1,"unit":"slot","meta":[]}` + "\n" +
+		`{"id":0,"parent":-1,"kind":"poll","name":"ÿ\ud800","start":-3,"end":9,"attrs":[]}` + "\n\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec, err := trace.Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc1, err := trace.EncodeBytes(dec)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		dec2, err := trace.Decode(bytes.NewReader(enc1))
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", enc1, err)
+		}
+		if d := trace.Diff(dec, dec2); !d.Identical {
+			t.Fatalf("round trip changed the trace: %s", d)
+		}
+		enc2, err := trace.EncodeBytes(dec2)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(enc1, enc2) {
+			t.Fatalf("re-encoding is not byte-stable:\n%s\nvs\n%s", enc1, enc2)
+		}
+	})
+}

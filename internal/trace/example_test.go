@@ -5,6 +5,7 @@ import (
 
 	"tcast/internal/core"
 	"tcast/internal/fastsim"
+	"tcast/internal/query"
 	"tcast/internal/rng"
 	"tcast/internal/trace"
 )
@@ -14,8 +15,9 @@ import (
 func ExampleRecorder() {
 	r := rng.New(1)
 	ch := fastsim.New(32, []int{3, 9, 17, 21, 30}, fastsim.DefaultConfig(), r.Split(1))
-	rec := trace.NewRecorder(ch)
-	res, err := (core.TwoTBins{}).Run(rec, 32, 4, r.Split(2))
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	res, err := (core.TwoTBins{}).Run(q, 32, 4, r.Split(2))
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ const AttrSampleRate = "sample_rate"
 // the trial index; callers sharing a builder across sessions get
 // per-session decorrelation from the session-name hash mixed in at
 // StartSession.
-func (s *SpanQuerier) SetSampling(k int, key uint64) {
+func (s *SpanRecorder) SetSampling(k int, key uint64) {
 	if k < 0 {
 		k = 0
 	}
@@ -39,7 +39,7 @@ func (s *SpanQuerier) SetSampling(k int, key uint64) {
 }
 
 // sampled decides whether the current poll's leaf span is recorded.
-func (s *SpanQuerier) sampled() bool {
+func (s *SpanRecorder) sampled() bool {
 	if s.sampleEvery <= 1 {
 		return true
 	}

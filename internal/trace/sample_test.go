@@ -21,13 +21,14 @@ func (f *fixedQuerier) Traits() query.Traits { return query.Traits{Model: query.
 // returns its encoded trace.
 func runSampledSession(k int, key uint64) *Trace {
 	b := NewBuilder()
-	sq := NewSpanQuerier(&fixedQuerier{}, b)
+	sq := NewSpanRecorder(b)
 	sq.SetSampling(k, key)
 	sq.StartSession("2tbins", IntAttr("n", 128))
-	sq.TraceRound(1)
+	q := query.NewTap(&fixedQuerier{}, sq)
+	q.TraceRound(1)
 	bin := []int{1, 2, 3, 4}
 	for i := 0; i < 100; i++ {
-		sq.Query(bin)
+		q.Query(bin)
 	}
 	sq.EndSession(BoolAttr("decision", true))
 	return b.Trace()

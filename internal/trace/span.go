@@ -17,8 +17,9 @@ import (
 //	experiment → series → point → trial → session → round → poll
 //
 // Spans are produced by a Builder (the virtual clock plus an open-span
-// stack) and the SpanQuerier middleware, which turns every group poll
-// into a leaf span and listens for the algorithms' round boundaries.
+// stack) and the SpanRecorder observer, which turns every group poll
+// record a query.Tap hands it into a leaf span and every round boundary
+// into a round span.
 
 // SpanKind classifies a span's level in the hierarchy.
 type SpanKind int
@@ -238,51 +239,30 @@ func (b *Builder) Trace() *Trace {
 
 // Annotator lets a layer contribute span attributes it alone knows —
 // the collision model and capture configuration on the abstract channel,
-// the primitive and slot ledger at packet level, backoff counts under the
-// MAC baselines, poll grades and verdicts from the audit middleware.
-// SpanQuerier collects attributes from every Annotator in the querier
-// middleware chain when a session span closes (so an auditor stacked
-// below the span layer annotates the session with its verdict).
+// the primitive and slot ledger at packet level, fault counts from the
+// injector, poll grades and verdicts from the auditor. A SpanRecorder
+// collects attributes from its annotators when a session span closes.
 type Annotator interface {
 	TraceAttrs() []Attr
 }
 
-// roundTracer is the hook the core algorithms call (via an anonymous
-// interface assertion, so core does not import trace) at every re-binning
-// round boundary.
-type roundTracer interface {
-	TraceRound(round int)
-}
-
-// slotCounter is implemented by substrates that meter their own slot cost
-// (pollcast.Session charges 2 slots per pollcast query, 3 per backcast
-// query); SpanQuerier advances virtual time by the metered delta instead
-// of the default one slot per poll.
-type slotCounter interface {
-	Slots() int
-}
-
-// SpanQuerier is middleware over query.Querier that renders a session as
-// spans: StartSession opens the session span, every Query emits a poll
-// leaf and advances the virtual clock by the poll's slot cost, the
-// algorithms' round boundaries (TraceRound) open round spans, and
-// EndSession closes everything, folding in the result and every
-// substrate Annotator in the chain below.
+// SpanRecorder is the span observer: it renders a session as spans.
+// StartSession opens the session span, every poll record becomes a leaf
+// span and advances the virtual clock by the poll's slot cost, round
+// boundaries open round spans, and EndSession closes everything, folding
+// in the result and every annotator's attributes.
 //
-// Like Recorder it consumes no randomness and never alters bins or
-// responses, so a traced run is bit-identical to a bare one. Not safe for
+// It consumes no randomness and never sees more than the poll records,
+// so a traced run is bit-identical to a bare one. Not safe for
 // concurrent use.
-type SpanQuerier struct {
-	q query.Querier
-	b *Builder
+type SpanRecorder struct {
+	b          *Builder
+	annotators []Annotator
 
 	session *Span
 	round   *Span
 	polls   int
 	nodes   int
-
-	slots     slotCounter
-	lastSlots int
 
 	// Head-rate poll sampling (see SetSampling): record one poll leaf in
 	// sampleEvery, chosen by a splitmix hash of (sampleKey, session name,
@@ -292,24 +272,19 @@ type SpanQuerier struct {
 	sessionKey  uint64
 }
 
-// NewSpanQuerier wraps q, emitting spans into b.
-func NewSpanQuerier(q query.Querier, b *Builder) *SpanQuerier {
-	sq := &SpanQuerier{q: q, b: b}
-	// Find the innermost slot meter so virtual time tracks the substrate's
-	// own cost accounting when it has one.
-	for walk := q; walk != nil; {
-		if sc, ok := walk.(slotCounter); ok {
-			sq.slots = sc
-			sq.lastSlots = sc.Slots()
-			break
-		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
-	}
-	return sq
+// NewSpanRecorder returns a recorder emitting spans into b. The session
+// span closes with the annotators' attributes, in the order given.
+func NewSpanRecorder(b *Builder, annotators ...Annotator) *SpanRecorder {
+	s := new(SpanRecorder)
+	s.Reset(b, annotators...)
+	return s
+}
+
+// Reset re-targets a recorder at b with the given annotators, clearing
+// its session state and sampling, so a pooled recorder serves a fresh
+// session.
+func (s *SpanRecorder) Reset(b *Builder, annotators ...Annotator) {
+	*s = SpanRecorder{b: b, annotators: append(s.annotators[:0], annotators...)}
 }
 
 // sessionCloseAttrs is the room StartSession reserves for the session
@@ -318,7 +293,7 @@ const sessionCloseAttrs = 12
 
 // StartSession opens the session span. name is typically the algorithm
 // name; extra attributes (n, t, x...) may be attached immediately.
-func (s *SpanQuerier) StartSession(name string, attrs ...Attr) {
+func (s *SpanRecorder) StartSession(name string, attrs ...Attr) {
 	s.session = s.b.Begin(KindSession, name)
 	// One allocation with room for what EndSession appends (counters,
 	// result, annotators) instead of a regrowth per batch.
@@ -329,65 +304,46 @@ func (s *SpanQuerier) StartSession(name string, attrs ...Attr) {
 	}
 }
 
-// TraceRound implements the algorithms' round hook: it closes the open
-// round span, if any, and opens the next one.
-func (s *SpanQuerier) TraceRound(round int) {
+// ObserveRound implements query.Observer: it closes the open round span,
+// if any, and opens the next one.
+func (s *SpanRecorder) ObserveRound(round int) {
 	if s.round != nil {
 		s.b.End()
 	}
 	s.round = s.b.Begin(KindRound, "round "+strconv.Itoa(round))
-	// Forward to any further tracer below (a stacked middleware chain may
-	// carry its own hook).
-	if rt, ok := s.q.(roundTracer); ok {
-		rt.TraceRound(round)
-	}
 }
 
-// Query implements query.Querier: forward the poll, then emit its leaf
-// span and advance the virtual clock by its slot cost. Under sampling
+// ObservePoll implements query.Observer: emit the poll's leaf span and
+// advance the virtual clock by its slot cost. Under sampling
 // (SetSampling) unsampled polls still advance the clock and the session
 // counters — only the leaf span is elided — so round/session widths and
 // the session's polls/nodes_polled attributes stay exact.
-func (s *SpanQuerier) Query(bin []int) query.Response {
-	resp := s.q.Query(bin)
-	adv := int64(1)
-	if s.slots != nil {
-		now := s.slots.Slots()
-		adv = int64(now - s.lastSlots)
-		s.lastSlots = now
-	}
+func (s *SpanRecorder) ObservePoll(p *query.Poll) {
 	if s.sampled() {
 		sp := s.b.Begin(KindPoll, "poll "+strconv.Itoa(s.polls))
-		s.b.Advance(adv)
+		s.b.Advance(p.Slots)
 		sp.SetAttr(
-			IntAttr("bin_size", len(bin)),
-			StringAttr("kind", resp.Kind.String()),
+			IntAttr("bin_size", len(p.Bin)),
+			StringAttr("kind", p.Response.Kind.String()),
 		)
-		if resp.Kind == query.Decoded {
-			sp.SetAttr(IntAttr("decoded_id", resp.DecodedID))
+		if p.Response.Kind == query.Decoded {
+			sp.SetAttr(IntAttr("decoded_id", p.Response.DecodedID))
 		}
 		if s.sampleEvery > 1 {
 			sp.SetAttr(IntAttr(AttrSampleRate, s.sampleEvery))
 		}
 		s.b.End()
 	} else {
-		s.b.Advance(adv)
+		s.b.Advance(p.Slots)
 	}
 	s.polls++
-	s.nodes += len(bin)
-	return resp
+	s.nodes += len(p.Bin)
 }
-
-// Traits implements query.Querier.
-func (s *SpanQuerier) Traits() query.Traits { return s.q.Traits() }
-
-// Unwrap implements query.Wrapper.
-func (s *SpanQuerier) Unwrap() query.Querier { return s.q }
 
 // EndSession closes the open round and session spans, annotating the
 // session with the poll/energy totals, the given result attributes, and
-// every substrate Annotator found below in the middleware chain.
-func (s *SpanQuerier) EndSession(attrs ...Attr) {
+// every annotator's attributes.
+func (s *SpanRecorder) EndSession(attrs ...Attr) {
 	if s.session == nil {
 		return
 	}
@@ -400,17 +356,8 @@ func (s *SpanQuerier) EndSession(attrs ...Attr) {
 		IntAttr("nodes_polled", s.nodes),
 	)
 	s.session.SetAttr(attrs...)
-	for walk := query.Querier(s); walk != nil; {
-		if walk != query.Querier(s) {
-			if an, ok := walk.(Annotator); ok {
-				s.session.SetAttr(an.TraceAttrs()...)
-			}
-		}
-		w, ok := walk.(query.Wrapper)
-		if !ok {
-			break
-		}
-		walk = w.Unwrap()
+	for _, an := range s.annotators {
+		s.session.SetAttr(an.TraceAttrs()...)
 	}
 	s.b.End()
 	s.session = nil

@@ -74,15 +74,16 @@ func TestTraceClosesOpenSpans(t *testing.T) {
 	}
 }
 
-// TestSpanQuerierSession drives a real 2tBins session through the span
-// recorder and checks the span tree mirrors the session structure.
+// TestSpanQuerierSession drives a real 2tBins session through a span
+// querier — a tap carrying a SpanRecorder annotated by its substrate — and
+// checks the span tree mirrors the session structure.
 func TestSpanQuerierSession(t *testing.T) {
 	r := rng.New(7)
 	ch, _ := fastsim.RandomPositives(64, 10, fastsim.DefaultConfig(), r.Split(1))
 	b := trace.NewBuilder()
-	sq := trace.NewSpanQuerier(ch, b)
+	sq := trace.NewSpanRecorder(b, ch)
 	sq.StartSession("2tBins", trace.IntAttr("n", 64))
-	res, err := (core.TwoTBins{}).Run(sq, 64, 8, r.Split(2))
+	res, err := (core.TwoTBins{}).Run(query.NewTap(ch, sq), 64, 8, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +158,9 @@ func TestSpanQuerierPacketSlots(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := trace.NewBuilder()
-		sq := trace.NewSpanQuerier(sess, b)
+		sq := trace.NewSpanRecorder(b, sess)
 		sq.StartSession("probe")
-		res, err := (core.TwoTBins{}).Run(sq, 16, 4, r.Split(3))
+		res, err := (core.TwoTBins{}).Run(query.NewTap(sess, sq), 16, 4, r.Split(3))
 		if err != nil {
 			t.Fatal(err)
 		}

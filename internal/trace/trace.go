@@ -1,9 +1,9 @@
-// Package trace instruments threshold-query sessions: a Recorder wraps
-// any query.Querier, logs every group poll and its response, and can
-// render the session as a human-readable timeline or replay it against a
-// decision procedure. Because it is middleware over the Querier interface,
-// it works identically on the abstract channel, the packet radio and the
-// mote testbed.
+// Package trace instruments threshold-query sessions: a Recorder observes
+// any query.Tap, logs every group poll and its response, and can render
+// the session as a human-readable timeline or replay it against a
+// decision procedure. Because it sees only poll records, it works
+// identically on the abstract channel, the packet radio and the mote
+// testbed.
 package trace
 
 import (
@@ -23,40 +23,27 @@ type Event struct {
 	Response query.Response
 }
 
-// Recorder wraps a Querier and records every poll. It implements
-// query.Querier. Not safe for concurrent use.
+// Recorder is the poll-log observer: it records every poll record a
+// query.Tap hands it. Not safe for concurrent use.
 type Recorder struct {
-	q      query.Querier
 	events []Event
 }
 
-// NewRecorder wraps q.
-func NewRecorder(q query.Querier) *Recorder { return &Recorder{q: q} }
+// NewRecorder returns an empty recorder; put it on a tap
+// (query.NewTap(q, rec)) to record q's polls.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// Query implements query.Querier.
-func (r *Recorder) Query(bin []int) query.Response {
-	resp := r.q.Query(bin)
+// ObservePoll implements query.Observer.
+func (r *Recorder) ObservePoll(p *query.Poll) {
 	r.events = append(r.events, Event{
 		Index:    len(r.events),
-		Bin:      append([]int(nil), bin...),
-		Response: resp,
+		Bin:      append([]int(nil), p.Bin...),
+		Response: p.Response,
 	})
-	return resp
 }
 
-// Traits implements query.Querier.
-func (r *Recorder) Traits() query.Traits { return r.q.Traits() }
-
-// Unwrap implements query.Wrapper.
-func (r *Recorder) Unwrap() query.Querier { return r.q }
-
-// TraceRound forwards the algorithms' round hook to the wrapped querier,
-// so a Recorder stacked over a SpanQuerier does not swallow round spans.
-func (r *Recorder) TraceRound(round int) {
-	if rt, ok := r.q.(roundTracer); ok {
-		rt.TraceRound(round)
-	}
-}
+// ObserveRound implements query.Observer; the poll log has no rounds.
+func (r *Recorder) ObserveRound(int) {}
 
 // Events returns the recorded polls in order.
 func (r *Recorder) Events() []Event { return r.events }
@@ -64,7 +51,7 @@ func (r *Recorder) Events() []Event { return r.events }
 // Len returns the number of recorded polls.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Reset clears the recording, keeping the wrapped querier.
+// Reset clears the recording.
 func (r *Recorder) Reset() { r.events = nil }
 
 // Summary aggregates a recording. The per-kind counts come from the shared

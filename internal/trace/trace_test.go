@@ -14,8 +14,9 @@ import (
 func TestRecorderCapturesSession(t *testing.T) {
 	r := rng.New(1)
 	ch, _ := fastsim.RandomPositives(32, 10, fastsim.DefaultConfig(), r.Split(1))
-	rec := trace.NewRecorder(ch)
-	res, err := (core.TwoTBins{}).Run(rec, 32, 8, r.Split(2))
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	res, err := (core.TwoTBins{}).Run(q, 32, 8, r.Split(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +36,9 @@ func TestRecorderCapturesSession(t *testing.T) {
 func TestRecorderTraitsForwarded(t *testing.T) {
 	r := rng.New(2)
 	ch, _ := fastsim.RandomPositives(8, 2, fastsim.TwoPlusConfig(), r)
-	rec := trace.NewRecorder(ch)
-	if tr := rec.Traits(); tr.Model != query.TwoPlus || !tr.CaptureEffect {
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	if tr := q.Traits(); tr.Model != query.TwoPlus || !tr.CaptureEffect {
 		t.Fatalf("traits not forwarded: %+v", tr)
 	}
 }
@@ -44,9 +46,10 @@ func TestRecorderTraitsForwarded(t *testing.T) {
 func TestRecorderBinsAreCopies(t *testing.T) {
 	r := rng.New(3)
 	ch, _ := fastsim.RandomPositives(8, 1, fastsim.DefaultConfig(), r)
-	rec := trace.NewRecorder(ch)
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
 	bin := []int{0, 1, 2}
-	rec.Query(bin)
+	q.Query(bin)
 	bin[0] = 99
 	if rec.Events()[0].Bin[0] == 99 {
 		t.Fatal("recorded bin aliases the caller's slice")
@@ -56,8 +59,9 @@ func TestRecorderBinsAreCopies(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	r := rng.New(4)
 	ch, _ := fastsim.RandomPositives(64, 20, fastsim.DefaultConfig(), r.Split(1))
-	rec := trace.NewRecorder(ch)
-	if _, err := (core.TwoTBins{}).Run(rec, 64, 8, r.Split(2)); err != nil {
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	if _, err := (core.TwoTBins{}).Run(q, 64, 8, r.Split(2)); err != nil {
 		t.Fatal(err)
 	}
 	s := rec.Summarize()
@@ -78,9 +82,10 @@ func TestSummarize(t *testing.T) {
 func TestRenderFormat(t *testing.T) {
 	r := rng.New(5)
 	ch := fastsim.New(12, []int{3}, fastsim.TwoPlusConfig(), r)
-	rec := trace.NewRecorder(ch)
-	rec.Query([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) // decodes node 3
-	rec.Query([]int{0, 1})                                 // empty
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	q.Query([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}) // decodes node 3
+	q.Query([]int{0, 1})                                 // empty
 	out := rec.Render()
 	if !strings.Contains(out, "decoded (node 3)") {
 		t.Errorf("decode line missing: %s", out)
@@ -99,8 +104,9 @@ func TestRenderFormat(t *testing.T) {
 func TestReset(t *testing.T) {
 	r := rng.New(6)
 	ch, _ := fastsim.RandomPositives(8, 2, fastsim.DefaultConfig(), r)
-	rec := trace.NewRecorder(ch)
-	rec.Query([]int{0})
+	rec := trace.NewRecorder()
+	q := query.NewTap(ch, rec)
+	q.Query([]int{0})
 	rec.Reset()
 	if rec.Len() != 0 {
 		t.Fatal("Reset kept events")
@@ -114,13 +120,14 @@ func TestReplayRoundTrip(t *testing.T) {
 	for _, algSeed := range []uint64{7, 8, 9, 10} {
 		root := rng.New(algSeed)
 		ch, _ := fastsim.RandomPositives(64, 12, fastsim.DefaultConfig(), root.Split(1))
-		rec := trace.NewRecorder(ch)
-		want, err := (core.ABNS{P0: 1}).Run(rec, 64, 8, root.Split(2))
+		rec := trace.NewRecorder()
+		q := query.NewTap(ch, rec)
+		want, err := (core.ABNS{P0: 1}).Run(q, 64, 8, root.Split(2))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		rep := trace.NewReplayer(rec.Events(), rec.Traits())
+		rep := trace.NewReplayer(rec.Events(), q.Traits())
 		got, err := (core.ABNS{P0: 1}).Run(rep, 64, 8, rng.New(algSeed).Split(2))
 		if err != nil {
 			t.Fatal(err)

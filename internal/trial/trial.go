@@ -1,18 +1,21 @@
 // Package trial assembles, runs and closes out one tcast session's querier
 // stack. It is the one place that fixes the layer order
 //
-//	substrate → faults → hook → retry → metrics → audit → trace → obs
+//	substrate → faults → hook → retry → tap
 //
-// (outermost last) and the random-stream labels under it: a trial's root
-// stream r gives the fault injector r.Split(FaultStream), the abstract
-// channel r.Split(1) and the algorithm r.Split(Trial.Stream). Every site
-// that runs a session — the figure sweeps, tcastsim, tcastbench and
-// tcastd's served queries — goes through a Stack, so a served session
-// equals the same trial of a tcastsim sweep by construction.
+// (outermost last), the order of the observers on the tap
+//
+//	metrics → audit → trace → obs
+//
+// and the random-stream labels under it: a trial's root stream r gives
+// the fault injector r.Split(FaultStream), the abstract channel r.Split(1)
+// and the algorithm r.Split(Trial.Stream). Every site that runs a session
+// — the figure sweeps, tcastsim, tcastbench and tcastd's served queries —
+// goes through a Stack, so a served session equals the same trial of a
+// tcastsim sweep by construction.
 //
 // No layer consumes randomness of its own beyond the injector's reserved
-// stream, so results are bit-identical with and without the observability
-// layers.
+// stream, so results are bit-identical with and without the observers.
 package trial
 
 import (
@@ -83,13 +86,13 @@ type Stack struct {
 	// → poll spans in the fork keyed by the trial index; the caller
 	// grafts the forks once a batch drains. TraceSample > 1 records one
 	// in k poll leaves per session, keyed by the trial index
-	// (trace.SpanQuerier.SetSampling); round and session spans, the
+	// (trace.SpanRecorder.SetSampling); round and session spans, the
 	// virtual clock and the session counters stay exact.
 	Trace       *trace.Builder
 	TraceSample int
 	// Obs, when non-nil, receives the session-start event, one event per
-	// poll from a publisher stacked outermost, the chain's fault and
-	// retry events and the closing verdict. Parallel trials publish in
+	// poll from a publisher observing last, the chain's fault and retry
+	// events and the closing verdict. Parallel trials publish in
 	// scheduling order; every event carries the label and trial index
 	// that sinks needing determinism key on.
 	Obs *obs.Bus
@@ -114,21 +117,26 @@ type Trial struct {
 	// verdict is left on the Session.
 	Audit bool
 	// Hook, when set, wraps the substrate between the fault injector and
-	// the retry layer (tcastd's medium scheduler).
+	// the retry layer (tcastd's medium scheduler). A slot meter of its
+	// own must be on the querier it returns.
 	Hook func(query.Querier) query.Querier
 }
 
 // State is one trial's reusable scratch: the abstract channel, the session
-// arena, the channel and algorithm streams, the recycled auditor and the
-// Session itself. Reusing a State keeps the bare trial path free of
-// allocations; the reseeding calls draw exactly the sequences their
-// allocating equivalents do, so reused and fresh states give bit-identical
-// trials. A State serves one trial at a time.
+// arena, the channel and algorithm streams, the recycled auditor, span
+// recorder and tap, and the Session itself. Reusing a State keeps the
+// bare trial path free of allocations; the reseeding calls draw exactly
+// the sequences their allocating equivalents do, so reused and fresh
+// states give bit-identical trials. A State serves one trial at a time.
 type State struct {
 	ch        fastsim.Channel
 	arena     core.Arena
 	chr, algr rng.Source
 	aud       *audit.Auditor
+	lossless  bool // Config.Lossless points here, so auditing allocates nothing
+	spans     trace.SpanRecorder
+	tap       query.Tap
+	obs       []query.Observer
 	sess      Session
 }
 
@@ -152,7 +160,7 @@ func (st *State) Channel(n, x int, cfg fastsim.Config, r *rng.Source) *fastsim.C
 // outcome.
 type Session struct {
 	// Q is the outermost querier the algorithm polls. A caller may wrap
-	// it further between Open and Run (tcastsim -dump's recorder).
+	// it further between Open and Run (tcastsim -dump's recorder tap).
 	Q query.Querier
 	// Label starts as Trial.Label; a caller may extend it between Run and
 	// Publish (ext-faults names the fault behind a wrong decision).
@@ -167,15 +175,22 @@ type Session struct {
 	st    *State
 	tr    Trial
 	alg   core.Algorithm
+	err   error
+
+	// The handles Open built, so nothing walks the chain.
+	rq    *query.Retry
+	inj   *faults.Injector
+	meter query.SlotMeter
+	met   *metrics.Observer
 	aud   *audit.Auditor
 	fb    *trace.Builder
-	sq    *trace.SpanQuerier
-	err   error
+	spans *trace.SpanRecorder
 }
 
 // Open assembles trial tr's stack over sub, the substrate the caller drew
 // from r, for algorithm alg. An Oracle without ground truth is bound to
-// sub. The Session lives in st.
+// sub. The Session lives in st. One tap carries every configured
+// observer; with none configured there is no tap.
 func (s *Stack) Open(st *State, sub query.Querier, alg core.Algorithm, r *rng.Source, tr Trial) (*Session, error) {
 	if o, ok := alg.(core.Oracle); ok && o.Truth == nil {
 		truth, ok := sub.(core.GroundTruth)
@@ -185,51 +200,85 @@ func (s *Stack) Open(st *State, sub query.Querier, alg core.Algorithm, r *rng.So
 		o.Truth = truth
 		alg = o
 	}
+	ss := &st.sess
+	*ss = Session{Label: tr.Label, stack: *s, st: st, tr: tr, alg: alg}
 	q := sub
 	if s.Faults != nil {
-		q = faults.New(q, *s.Faults, tr.N, r.Split(FaultStream))
+		ss.inj = faults.New(q, *s.Faults, tr.N, r.Split(FaultStream))
+		q = ss.inj
 	}
 	if tr.Hook != nil {
 		q = tr.Hook(q)
 	}
-	q = metrics.Wrap(query.WithRetry(q, s.Retry), s.Metrics)
+	q = query.WithRetry(q, s.Retry)
+	ss.rq, _ = q.(*query.Retry)
+	// The tap's slot meter: the retry ledger, else the hook's or the
+	// substrate's own.
+	if ss.meter, _ = q.(query.SlotMeter); ss.meter == nil {
+		ss.meter, _ = sub.(query.SlotMeter)
+	}
 	r.SplitInto(tr.Stream, &st.algr)
-	ss := &st.sess
-	*ss = Session{Label: tr.Label, stack: *s, st: st, tr: tr, alg: alg}
+
+	st.obs = st.obs[:0]
+	if s.Metrics != nil {
+		ss.met = metrics.NewObserver(s.Metrics)
+		st.obs = append(st.obs, ss.met)
+	}
 	if s.Audit != nil || tr.Audit {
-		cfg := audit.Config{N: tr.N, T: tr.T, Metrics: s.Metrics}
-		var err error
-		if st.aud == nil {
-			st.aud, err = audit.New(q, cfg)
-		} else {
-			err = st.aud.Reset(q, cfg)
+		truth, ok := sub.(audit.Truth)
+		if !ok {
+			return nil, fmt.Errorf("audit: substrate %T exposes no ground truth and none was supplied", sub)
 		}
-		if err != nil {
+		// The bound invariants need every layer sound: an active
+		// injector drops replies above a lossless substrate.
+		st.lossless = false
+		if ll, ok := sub.(interface{ Lossless() bool }); ok {
+			st.lossless = ll.Lossless() && (ss.inj == nil || ss.inj.Lossless())
+		}
+		if st.aud == nil {
+			st.aud = new(audit.Auditor)
+		}
+		cfg := audit.Config{Truth: truth, N: tr.N, T: tr.T, Metrics: s.Metrics, Lossless: &st.lossless}
+		if err := st.aud.Reset(q, cfg); err != nil {
 			return nil, err
 		}
 		ss.aud = st.aud
-		q = st.aud
+		st.obs = append(st.obs, ss.aud)
 	}
 	if s.Trace != nil {
 		ss.fb = s.Trace.Fork(tr.Index)
 		ss.fb.Begin(trace.KindTrial, "trial "+strconv.Itoa(tr.Index))
-		ss.sq = trace.NewSpanQuerier(q, ss.fb)
-		ss.sq.SetSampling(s.TraceSample, uint64(tr.Index))
-		ss.sq.StartSession(alg.Name(),
+		var ann [3]trace.Annotator
+		n := 0
+		if ss.aud != nil {
+			ann[n], n = ss.aud, n+1
+		}
+		if ss.inj != nil {
+			ann[n], n = ss.inj, n+1
+		}
+		if an, ok := sub.(trace.Annotator); ok {
+			ann[n], n = an, n+1
+		}
+		ss.spans = &st.spans
+		ss.spans.Reset(ss.fb, ann[:n]...)
+		ss.spans.SetSampling(s.TraceSample, uint64(tr.Index))
+		ss.spans.StartSession(alg.Name(),
 			trace.IntAttr("n", tr.N), trace.IntAttr("t", tr.T), trace.IntAttr("x", tr.X))
-		q = ss.sq
+		st.obs = append(st.obs, ss.spans)
 	}
 	if s.Obs != nil {
-		// Outermost, so the published poll stream counts exactly the
-		// algorithm-visible polls every layer below has already seen.
-		q = obs.NewPublisher(q, s.Obs, tr.Label, tr.Index)
+		st.obs = append(st.obs, obs.NewPollPublisher(s.Obs, tr.Label, tr.Index))
 		obs.PublishSessionStart(s.Obs, tr.Label, tr.Index)
+	}
+	if len(st.obs) > 0 {
+		st.tap.Reset(q, ss.meter, st.obs)
+		q = &st.tap
 	}
 	ss.Q = q
 	return ss, nil
 }
 
-// Run executes the algorithm on Q and finishes the layers: the audit
+// Run executes the algorithm on Q and finishes the observers: the audit
 // verdict first, so it annotates the closing session span, then the
 // trace spans and the per-session metrics. A session that fails before
 // deciding is voided on the collector and its spans carry the error.
@@ -243,32 +292,46 @@ func (ss *Session) Run() (core.Result, error) {
 			c.Void(ss.Label)
 		}
 	}
-	if ss.sq != nil {
+	if ss.spans != nil {
 		if err == nil {
-			ss.sq.EndSession(
+			ss.spans.EndSession(
 				trace.BoolAttr("decision", res.Decision),
 				trace.IntAttr("queries", res.Queries),
 				trace.IntAttr("rounds", res.Rounds))
 		} else {
-			ss.sq.EndSession(trace.StringAttr("error", err.Error()))
+			ss.spans.EndSession(trace.StringAttr("error", err.Error()))
 		}
 		ss.fb.End() // trial span
 	}
 	if err != nil {
 		return res, err
 	}
-	metrics.FinishSession(ss.Q)
+	if ss.met != nil {
+		ss.met.Finish()
+	}
 	return res, nil
 }
 
-// Slots prices the finished session in virtual slots: the chain's slot
-// meter, or one slot per poll on a substrate without one.
-func (ss *Session) Slots() int64 { return obs.ChainSlots(ss.Q, ss.Result.Queries) }
+// Slots prices the finished session in virtual slots: the slot meter
+// below the tap, or one slot per poll on a substrate without one.
+func (ss *Session) Slots() int64 {
+	if ss.meter != nil {
+		return int64(ss.meter.Slots())
+	}
+	return int64(ss.Result.Queries)
+}
+
+// Cause names the injected fault behind the verdict's causal poll; empty
+// when the trial has no injector or no injected fault touched the poll.
+func (ss *Session) Cause() string {
+	return obs.DescribeCause(ss.rq, ss.inj, ss.Verdict.CausalPoll)
+}
 
 // Publish files the session under Label: the verdict joins the
-// collector, and the bus receives the chain's fault and retry events and
-// then the verdict — or, unaudited, the decision graded against X >= T.
-// After a failed Run only the chain events are published.
+// collector, and the bus receives the retry layer's and injector's
+// events and then the verdict — or, unaudited, the decision graded
+// against X >= T. After a failed Run only the chain events are
+// published.
 func (ss *Session) Publish() {
 	s, i := &ss.stack, ss.tr.Index
 	if ss.Audited && s.Audit != nil {
@@ -277,11 +340,11 @@ func (ss *Session) Publish() {
 	if s.Obs == nil {
 		return
 	}
-	obs.PublishChainEvents(s.Obs, ss.Label, i, ss.Q)
+	obs.PublishChainEvents(s.Obs, ss.Label, i, ss.rq, ss.inj)
 	switch {
 	case ss.err != nil:
 	case ss.Audited:
-		obs.PublishVerdict(s.Obs, ss.Label, i, ss.Verdict, obs.ChainSlots(ss.Q, ss.Verdict.Polls), ss.Q)
+		obs.PublishVerdict(s.Obs, ss.Label, i, ss.Verdict, ss.Slots(), ss.Cause())
 	default:
 		obs.PublishDecision(s.Obs, ss.Label, i, ss.Result.Decision, ss.tr.X >= ss.tr.T, ss.Result.Queries, ss.Slots())
 	}
