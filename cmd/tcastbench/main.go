@@ -488,9 +488,9 @@ func serveBench(conc int) bench {
 	const n, t, x = 128, 16, 16
 	poolCfg := serve.Config{
 		Fields: 1, MaxActive: conc,
-		// Admission slots release after Done() fires, so the next wave can
-		// briefly overlap the previous one's teardown: size the queue and
-		// the per-client bound to absorb two full waves.
+		// Admission slots release before Done() fires, so one wave never
+		// overlaps the next; the queue and per-client bounds are headroom
+		// above a single wave, kept so entries compare with the baseline.
 		MaxQueue: 2 * conc, MaxPerClient: 4 * conc,
 		MaxHistory: 1,
 	}

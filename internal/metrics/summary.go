@@ -46,15 +46,6 @@ func (s *Summary) Count() uint64 {
 	return s.q.Count()
 }
 
-// Merge folds a standalone sketch pair into the summary — the path
-// per-worker sketches take to surface on the registry.
-func (s *Summary) Merge(q *sketch.Quantile, mom sketch.Moments) {
-	s.mu.Lock()
-	s.q.Merge(q)
-	s.mom.Merge(mom)
-	s.mu.Unlock()
-}
-
 // snapshotValue captures the summary for exposition.
 func (s *Summary) snapshotValue(name string) SummaryValue {
 	s.mu.Lock()

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"tcast/internal/sketch"
 )
 
 func TestSummaryObserveAndSnapshot(t *testing.T) {
@@ -78,22 +76,5 @@ func TestSummaryExposition(t *testing.T) {
 	}
 	if strings.Contains(prom.String(), `empty_summary{quantile`) {
 		t.Errorf("empty summary emitted quantile series:\n%s", prom.String())
-	}
-}
-
-func TestSummaryMergeSketch(t *testing.T) {
-	r := New()
-	s := r.Summary("merged")
-	q := sketch.NewQuantile(sketch.DefaultAlpha)
-	var mom sketch.Moments
-	for i := 0; i < 50; i++ {
-		q.Observe(7)
-		mom.Observe(7)
-	}
-	s.Merge(q, mom)
-	s.Observe(7)
-	sv := s.snapshotValue("merged")
-	if sv.Count != 51 || sv.Sum != 357 {
-		t.Fatalf("merged snapshot: %+v", sv)
 	}
 }

@@ -9,17 +9,21 @@ import (
 
 // Field is one shared simulated medium: a virtual slot clock all its
 // sessions' transmissions serialize on, owned by a single scheduler
-// goroutine. Session goroutines interact with it only through the events
-// channel and their grant channel, so the scheduler's decisions — and
-// therefore every contention price — are a pure function of the admitted
+// goroutine. That goroutine is the only code that ever runs a session:
+// it steps each one as a coroutine from one park at the medium to the
+// next, so the scheduler's decisions — and therefore every contention
+// price — are a pure function of the inbox order and the admitted
 // sessions' (virtual ready time, admission sequence) order.
 type Field struct {
 	pool  *Pool
 	index int
 
-	events chan schedEvent
-	tokens chan struct{} // MaxActive scheduler slots; excess sessions queue here
-	done   chan struct{} // closed when the scheduler loop exits
+	// inbox carries arrivals, open and close in submission order. Its
+	// capacity is MaxActive+MaxQueue+2: unread arrivals never exceed the
+	// field's in-flight bound, plus one open and one close, so senders
+	// never block.
+	inbox chan fieldMsg
+	done  chan struct{} // closed when the scheduler loop exits
 
 	// inflight counts queued+running sessions (admission bound); active
 	// and queued split it for gauges; clock mirrors the scheduler's
@@ -29,71 +33,43 @@ type Field struct {
 	queued   atomic.Int64
 	clock    atomic.Int64
 	served   atomic.Int64
-	parked   atomic.Int64
 	gated    atomic.Bool
 }
 
-// schedEventKind discriminates the scheduler's inbox.
-type schedEventKind uint8
+// fieldMsgKind discriminates the scheduler's inbox.
+type fieldMsgKind uint8
 
 const (
-	// evArrive: a session acquired a scheduler slot and its goroutine is
-	// running toward its first poll.
-	evArrive schedEventKind = iota
-	// evPark: a session wants the medium for its next poll; cost carries
-	// the virtual slots of the poll it just finished (0 before the
-	// first).
-	evPark
-	// evDone: a session finished; cost carries its final poll's slots.
-	evDone
-	// evOpen releases a gated field.
-	evOpen
-	// evClose asks the loop to exit once no sessions remain.
-	evClose
+	// msgArrival: Submit admitted a session onto this field.
+	msgArrival fieldMsgKind = iota
+	// msgOpen releases a gated field.
+	msgOpen
+	// msgClose asks the loop to exit once no sessions remain.
+	msgClose
 )
 
-// schedEvent is one message from a session (or the pool) to a field's
-// scheduler loop.
-type schedEvent struct {
-	kind schedEventKind
+// fieldMsg is one message from the pool to a field's scheduler loop.
+type fieldMsg struct {
+	kind fieldMsgKind
 	s    *Session
-	cost int64
 }
 
-func newField(p *Pool, index, maxActive int, hold bool) *Field {
+func newField(p *Pool, index int, hold bool) *Field {
 	f := &Field{
-		pool:   p,
-		index:  index,
-		events: make(chan schedEvent),
-		tokens: make(chan struct{}, maxActive),
-		done:   make(chan struct{}),
+		pool:  p,
+		index: index,
+		inbox: make(chan fieldMsg, p.cfg.MaxActive+p.cfg.MaxQueue+2),
+		done:  make(chan struct{}),
 	}
-	for i := 0; i < maxActive; i++ {
-		f.tokens <- struct{}{}
-	}
-	if hold {
-		f.gated.Store(true)
-	}
+	f.gated.Store(hold)
 	return f
 }
 
-// gated is only read by the scheduler loop; the atomic lets open() be
-// called idempotently from outside without racing the loop's read of the
-// initial value.
+// open releases a gated field; the atomic makes repeat calls no-ops, so
+// at most one msgOpen is ever queued.
 func (f *Field) open() {
 	if f.gated.CompareAndSwap(true, false) {
-		select {
-		case f.events <- schedEvent{kind: evOpen}:
-		case <-f.done:
-		}
-	}
-}
-
-func (f *Field) close() {
-	select {
-	case f.events <- schedEvent{kind: evClose}:
-		<-f.done
-	case <-f.done:
+		f.inbox <- fieldMsg{kind: msgOpen}
 	}
 }
 
@@ -106,68 +82,110 @@ func (f *Field) Served() int64 { return f.served.Load() }
 // Index returns the field's position in the pool.
 func (f *Field) Index() int { return f.index }
 
-// Parked returns the number of sessions currently waiting at the medium
-// for a grant. Tests on a held field use it to fix the arrival order:
-// once every submitted session is parked, Open starts scheduling from a
-// known state.
-func (f *Field) Parked() int64 { return f.parked.Load() }
-
-// loop is the field's scheduler: a barrier-stepped virtual-time event
-// loop. It collects events until every admitted session is parked at the
-// medium (running == 0), then grants the transmission to the waiting
-// session with the lowest (readyAt, seq) key, waits for that session to
-// park again (carrying the poll's slot cost, which advances the clock)
-// or finish, and repeats. The barrier is what makes contention pricing
-// independent of goroutine scheduling: no grant decision is ever taken
-// while a session that could still request the medium is running.
+// loop is the field's scheduler: a virtual-time event loop that steps
+// sessions itself. It reads the inbox in FIFO order, admitting up to
+// MaxActive sessions and keeping the rest in its own backlog; each
+// admitted session is stepped at once to its first park at the current
+// clock. Whenever the inbox is empty and the field is open, it grants the
+// medium to the parked session with the lowest (readyAt, seq) key and
+// steps that session through one poll, whose slot cost advances the
+// clock. A finished session hands its medium slot to the backlog's head
+// at the clock it finished on. No session code runs outside step, so
+// contention pricing is independent of goroutine scheduling.
 func (f *Field) loop() {
 	defer close(f.done)
 	var (
 		clock   int64
-		running int
-		waiting waitQueue
+		ready   waitQueue
+		backlog []*Session
+		gated   = f.gated.Load()
 		closing bool
 	)
-	gated := f.gated.Load()
+	admit := func(s *Session) {
+		f.active.Add(1)
+		s.state.Store(int32(StateRunning))
+		s.startSlot = clock
+	}
 	for {
-		// Collect events until a grant is possible and allowed.
-		for running > 0 || waiting.Len() == 0 || gated {
-			if closing && running == 0 && waiting.Len() == 0 {
+		var s *Session
+		if !gated && ready.Len() > 0 && len(f.inbox) == 0 {
+			s = heap.Pop(&ready).(*Session)
+			s.waited += clock - s.readyAt
+		} else {
+			if closing && f.active.Load() == 0 {
 				return
 			}
-			ev := <-f.events
-			switch ev.kind {
-			case evArrive:
-				ev.s.readyAt = clock
-				ev.s.startSlot = clock
-				running++
-			case evPark:
-				clock += ev.cost
-				ev.s.ownSlots += ev.cost
-				ev.s.readyAt = clock
-				running--
-				heap.Push(&waiting, ev.s)
-				f.parked.Store(int64(waiting.Len()))
-			case evDone:
-				clock += ev.cost
-				ev.s.ownSlots += ev.cost
-				running--
-				f.served.Add(1)
-				f.clock.Store(clock)
-				ev.s.finish(clock)
-			case evOpen:
+			switch m := <-f.inbox; m.kind {
+			case msgArrival:
+				if f.active.Load() < int64(f.pool.cfg.MaxActive) {
+					s = m.s
+					admit(s)
+				} else {
+					backlog = append(backlog, m.s)
+					f.queued.Add(1)
+				}
+				f.pool.updateGauges()
+			case msgOpen:
 				gated = false
-			case evClose:
+			case msgClose:
 				closing = true
 			}
-			f.clock.Store(clock)
 		}
-		s := heap.Pop(&waiting).(*Session)
-		f.parked.Store(int64(waiting.Len()))
-		s.waited += clock - s.readyAt
-		running++
-		s.grant <- clock
+		for s != nil {
+			cost, parked := s.step()
+			clock += cost
+			s.ownSlots += cost
+			f.clock.Store(clock)
+			if parked {
+				s.readyAt = clock
+				heap.Push(&ready, s)
+				break
+			}
+			f.active.Add(-1)
+			f.served.Add(1)
+			s.finish(clock)
+			s = nil
+			if len(backlog) > 0 {
+				s = backlog[0]
+				backlog[0] = nil
+				backlog = backlog[1:]
+				f.queued.Add(-1)
+				admit(s)
+			}
+			f.pool.updateGauges()
+		}
 	}
+}
+
+// step resumes s until it parks at the medium again or finishes. It
+// returns the slots of the poll the session ran (0 on the first step,
+// which only reaches the first park) and whether it parked. Only the
+// field loop calls step: the loop and the session's goroutine pass one
+// baton back and forth, so exactly one of them runs at a time.
+func (s *Session) step() (cost int64, parked bool) {
+	if s.baton == nil {
+		s.baton = make(chan bool)
+		go s.coroutine()
+	}
+	s.baton <- true
+	parked = <-s.baton
+	return s.lastCost, parked
+}
+
+// coroutine is the session's goroutine: it waits for its first step,
+// runs the query (parking before every poll) and hands the baton back a
+// last time with parked=false.
+func (s *Session) coroutine() {
+	<-s.baton
+	s.runErr = s.execute()
+	s.baton <- false
+}
+
+// park hands the baton back to the field loop and waits for the next
+// step — the grant to transmit.
+func (s *Session) park() {
+	s.baton <- true
+	<-s.baton
 }
 
 // waitQueue orders parked sessions by (virtual ready time, admission
@@ -194,8 +212,8 @@ func (q *waitQueue) Pop() any {
 }
 
 // mediumQuerier is the scheduler's query.Querier middleware: before each
-// downstream poll the session parks at the field's medium and waits for
-// its grant, so concurrent initiators' transmissions serialize on one
+// downstream poll the session parks at the field's medium until the loop
+// grants it, so concurrent initiators' transmissions serialize on one
 // virtual slot clock. It forwards bins and responses unchanged and
 // consumes no randomness — a session's verdict is identical with or
 // without contention; only its slot ledger (waiting time, span) differs.
@@ -218,11 +236,9 @@ func newMediumQuerier(inner query.Querier, s *Session) *mediumQuerier {
 	return m
 }
 
-// Query implements query.Querier: park, wait for the grant, transmit.
+// Query implements query.Querier: park until granted, then transmit.
 func (m *mediumQuerier) Query(bin []int) query.Response {
-	s := m.s
-	s.field.events <- schedEvent{kind: evPark, s: s, cost: s.lastCost}
-	<-s.grant
+	m.s.park()
 	resp := m.inner.Query(bin)
 	cost := int64(1)
 	if m.meter != nil {
@@ -232,7 +248,7 @@ func (m *mediumQuerier) Query(bin []int) query.Response {
 		}
 		m.last = now
 	}
-	s.lastCost = cost
+	m.s.lastCost = cost
 	return resp
 }
 

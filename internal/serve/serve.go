@@ -7,9 +7,10 @@
 // initiators sharing one singlehop medium, every transmission serialized
 // on the same virtual slot clock — is the contention setting the MAC
 // conflict-resolution literature treats as fundamental. The scheduler
-// here keeps that pricing honest and *deterministic*: grants are ordered
-// by (virtual ready time, admission sequence) and a grant is only issued
-// when every admitted session is parked at the medium, so the same seeds
+// here keeps that pricing honest and *deterministic*: each field's loop
+// is the only code that runs its sessions, stepping each one as a
+// coroutine from one park at the medium to the next, and it grants the
+// medium by (virtual ready time, admission sequence), so the same seeds
 // and arrival order produce byte-identical verdicts and slot ledgers at
 // any GOMAXPROCS. A session's own algorithm behaviour is never perturbed
 // by contention (the medium wrapper forwards polls unchanged and consumes
@@ -28,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tcast/internal/metrics"
@@ -139,10 +139,8 @@ type Pool struct {
 	latencyH   *metrics.Histogram
 	sessionCtr func(outcome string) // increments serve_sessions_total{outcome}
 
-	draining atomic.Bool
-	wg       sync.WaitGroup
-
 	mu        sync.Mutex
+	draining  bool
 	seq       uint64
 	next      int // round-robin field cursor
 	perClient map[string]int
@@ -173,7 +171,7 @@ func NewPool(cfg Config) *Pool {
 		}
 	}
 	for i := 0; i < cfg.Fields; i++ {
-		f := newField(p, i, cfg.MaxActive, cfg.Hold)
+		f := newField(p, i, cfg.Hold)
 		p.fields = append(p.fields, f)
 		go f.loop()
 	}
@@ -206,12 +204,16 @@ func (p *Pool) shedCount(reason string) {
 	}
 }
 
-// Submit validates and admits one query session, starting it
-// asynchronously. The returned session exposes Done() for completion and
-// Status() for the wire shape. Shedding returns *OverloadError (bounded
-// queue or per-client limit full) or ErrDraining.
+// Submit validates and admits one query session onto its field's inbox;
+// the field loop runs it asynchronously. The returned session exposes
+// Done() for completion and Status() for the wire shape. Shedding returns
+// *OverloadError (bounded queue or per-client limit full) or ErrDraining.
+// Admission and the inbox send happen under p.mu, so no arrival can land
+// behind a draining field's close.
 func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
-	if p.draining.Load() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.draining {
 		p.shedCount("draining")
 		return nil, ErrDraining
 	}
@@ -219,17 +221,13 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	p.mu.Lock()
 	if p.cfg.MaxPerClient > 0 && p.perClient[client] >= p.cfg.MaxPerClient {
-		p.mu.Unlock()
 		p.shedCount("client")
 		return nil, &OverloadError{Reason: fmt.Sprintf("client %q at its %d-session limit", client, p.cfg.MaxPerClient), RetryAfter: time.Second}
 	}
 	var f *Field
 	if spec.Field >= 0 {
 		if spec.Field >= len(p.fields) {
-			p.mu.Unlock()
 			return nil, fmt.Errorf("serve: field %d outside pool of %d", spec.Field, len(p.fields))
 		}
 		f = p.fields[spec.Field]
@@ -239,7 +237,6 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 		spec.Field = f.index
 	}
 	if int(f.inflight.Load()) >= p.cfg.MaxActive+p.cfg.MaxQueue {
-		p.mu.Unlock()
 		p.shedCount("queue")
 		return nil, &OverloadError{Reason: fmt.Sprintf("field %d queue full (%d active + %d queued)", f.index, p.cfg.MaxActive, p.cfg.MaxQueue), RetryAfter: time.Second}
 	}
@@ -250,7 +247,6 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 		Spec:      spec,
 		seq:       p.seq,
 		field:     f,
-		grant:     make(chan int64, 1),
 		done:      make(chan struct{}),
 		submitted: time.Now(),
 	}
@@ -260,10 +256,7 @@ func (p *Pool) Submit(spec Spec, client string) (*Session, error) {
 	p.byID[s.ID] = s
 	p.order = append(p.order, s)
 	p.evictLocked()
-	p.mu.Unlock()
-
-	p.wg.Add(1)
-	go s.run()
+	f.inbox <- fieldMsg{kind: msgArrival, s: s}
 	return s, nil
 }
 
@@ -299,23 +292,25 @@ func (p *Pool) release(s *Session) {
 	s.field.inflight.Add(-1)
 }
 
-// Drain stops admission, waits for every in-flight session to finish
-// (bounded by ctx), then stops the field schedulers. After a successful
-// Drain the pool accepts no further submissions.
+// Drain stops admission and queues a close behind every field's admitted
+// arrivals, then waits (bounded by ctx) for each field loop to finish its
+// sessions and exit. After a successful Drain every admitted session is
+// terminal and the pool accepts no further submissions.
 func (p *Pool) Drain(ctx context.Context) error {
-	p.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		p.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return fmt.Errorf("serve: drain: %w", ctx.Err())
+	p.mu.Lock()
+	if !p.draining {
+		p.draining = true
+		for _, f := range p.fields {
+			f.inbox <- fieldMsg{kind: msgClose}
+		}
 	}
+	p.mu.Unlock()
 	for _, f := range p.fields {
-		f.close()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return fmt.Errorf("serve: drain: %w", ctx.Err())
+		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,19 +28,6 @@ func drain(t *testing.T, p *Pool) {
 	defer cancel()
 	if err := p.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
-	}
-}
-
-// waitParked blocks until want sessions are parked at f's medium — the
-// fixed pre-Open state a held field's determinism depends on.
-func waitParked(t *testing.T, f *Field, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for f.Parked() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("parked = %d, want %d", f.Parked(), want)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -168,12 +156,13 @@ func TestSessionMatchesTcastsim(t *testing.T) {
 }
 
 // contendedLedger runs a fixed fleet of sessions on one held field at
-// the given GOMAXPROCS and returns the JSON of their results in
-// admission order.
-func contendedLedger(t *testing.T, procs, sessions int) []byte {
+// the given GOMAXPROCS, at most maxActive of them on the medium at once
+// (the rest queue), and returns the JSON of their results in admission
+// order.
+func contendedLedger(t *testing.T, procs, sessions, maxActive int) []byte {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	p := NewPool(Config{Fields: 1, MaxActive: sessions, Hold: true})
+	p := NewPool(Config{Fields: 1, MaxActive: maxActive, Hold: true})
 	defer drain(t, p)
 	algs := []string{"2tbins", "exp", "abns-t", "probabns"}
 	subs := make([]*Session, 0, sessions)
@@ -187,7 +176,6 @@ func contendedLedger(t *testing.T, procs, sessions int) []byte {
 		}
 		subs = append(subs, s)
 	}
-	waitParked(t, p.fields[0], int64(sessions))
 	p.Open()
 	results := make([]Result, 0, sessions)
 	for _, s := range subs {
@@ -211,11 +199,20 @@ func contendedLedger(t *testing.T, procs, sessions int) []byte {
 // scheduler's data-race canary.
 func TestSchedulerDeterministic(t *testing.T) {
 	const sessions = 12
-	want := contendedLedger(t, 1, sessions)
+	want := contendedLedger(t, 1, sessions, sessions)
 	for _, procs := range []int{2, runtime.NumCPU()} {
-		got := contendedLedger(t, procs, sessions)
+		got := contendedLedger(t, procs, sessions, sessions)
 		if string(got) != string(want) {
 			t.Fatalf("ledger differs at GOMAXPROCS=%d:\n%s\nvs GOMAXPROCS=1:\n%s", procs, got, want)
+		}
+	}
+	// A queued fleet (3 of 12 on the medium at once): backlogged sessions
+	// must join the medium in a fixed order too.
+	wantQueued := contendedLedger(t, 1, sessions, 3)
+	for _, procs := range []int{2, runtime.NumCPU()} {
+		got := contendedLedger(t, procs, sessions, 3)
+		if string(got) != string(wantQueued) {
+			t.Fatalf("queued ledger differs at GOMAXPROCS=%d:\n%s\nvs GOMAXPROCS=1:\n%s", procs, got, wantQueued)
 		}
 	}
 	// The ledger must show real contention: total waiting is positive and
@@ -274,7 +271,6 @@ func TestContentionPreservesVerdict(t *testing.T) {
 		}
 		subs[i] = s
 	}
-	waitParked(t, p.fields[0], int64(len(specs)))
 	p.Open()
 	for i, s := range subs {
 		<-s.Done()
@@ -381,6 +377,70 @@ func TestDrainRejectsAndFinishes(t *testing.T) {
 	}
 	if _, err := p.Submit(Spec{N: 64, T: 8, X: 10}, "late"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain submission: got %v, want ErrDraining", err)
+	}
+}
+
+// TestResubmitOnDone verifies a session's admission slots are free by the
+// time its Done fires: a client at its one-session limit that resubmits
+// as soon as its previous session finishes is never shed.
+func TestResubmitOnDone(t *testing.T) {
+	p := NewPool(Config{Fields: 1, MaxActive: 1, MaxQueue: 1, MaxPerClient: 1})
+	defer drain(t, p)
+	for i := 0; i < 2000; i++ {
+		s, err := p.Submit(Spec{N: 16, T: 2, X: 3, Seed: uint64(i), Field: 0}, "eager")
+		if err != nil {
+			t.Fatalf("round %d: resubmission shed by its own finished session: %v", i, err)
+		}
+		<-s.Done()
+	}
+}
+
+// TestSubmitDuringDrain races submitters against Drain: every session
+// Submit admitted must be terminal once Drain returns, whichever side of
+// the close it landed on. Each submitter keeps one session in flight, so
+// the field empties often and Drain can catch a submission mid-way.
+func TestSubmitDuringDrain(t *testing.T) {
+	for round := 0; round < 1000; round++ {
+		p := NewPool(Config{Fields: 2})
+		admitted := make([][]*Session, 4)
+		drained := make(chan struct{})
+		var started, stopped sync.WaitGroup
+		for g := range admitted {
+			started.Add(1)
+			stopped.Add(1)
+			go func(g int) {
+				defer stopped.Done()
+				for i := 0; ; i++ {
+					s, err := p.Submit(Spec{N: 16, T: 2, X: 3, Seed: uint64(i), Field: -1}, fmt.Sprintf("g%d", g))
+					if i == 0 {
+						started.Done()
+					}
+					if errors.Is(err, ErrDraining) {
+						return
+					}
+					if err != nil {
+						t.Errorf("submitter %d: %v", g, err)
+						return
+					}
+					admitted[g] = append(admitted[g], s)
+					select {
+					case <-s.Done():
+					case <-drained:
+					}
+				}
+			}(g)
+		}
+		started.Wait()
+		drain(t, p)
+		close(drained)
+		stopped.Wait()
+		for g, subs := range admitted {
+			for _, s := range subs {
+				if !s.State().Terminal() {
+					t.Fatalf("round %d: submitter %d's session %s still %s after Drain", round, g, s.ID, s.State())
+				}
+			}
+		}
 	}
 }
 

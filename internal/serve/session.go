@@ -98,7 +98,7 @@ type Result struct {
 }
 
 // Session is one admitted query: the scheduler's ledger fields, the
-// goroutine's execution state, and the completion signal.
+// coroutine's execution state, and the completion signal.
 type Session struct {
 	ID     string
 	Client string
@@ -107,9 +107,10 @@ type Session struct {
 	seq   uint64
 	field *Field
 
-	// grant delivers the scheduler's transmit permission; lastCost
-	// carries the previous poll's slots into the next park event.
-	grant    chan int64
+	// baton passes control between the field loop and the session's
+	// goroutine (see step); lastCost carries the slots of the poll the
+	// current step ran back to the loop.
+	baton    chan bool
 	lastCost int64
 
 	// Scheduler-owned virtual-time ledger (only the field loop writes
@@ -119,8 +120,9 @@ type Session struct {
 	waited    int64
 	ownSlots  int64
 
-	// Written by the session goroutine before evDone, read by finish,
-	// which returns st to the trial pool once the result is assembled.
+	// Written by the session's coroutine before its last step returns,
+	// read by finish, which returns st to the trial pool once the result
+	// is assembled.
 	st     *trial.State
 	sess   *trial.Session
 	runErr error
@@ -222,34 +224,6 @@ func (p *Pool) resolveSpec(spec Spec) (Spec, error) {
 	return spec, nil
 }
 
-// run is the session goroutine: acquire a scheduler slot (queueing when
-// the field is at MaxActive), announce arrival, execute the query, and
-// report completion to the scheduler, which prices and finishes it.
-func (s *Session) run() {
-	f := s.field
-	p := f.pool
-	defer p.wg.Done()
-	select {
-	case <-f.tokens:
-	default:
-		f.queued.Add(1)
-		p.updateGauges()
-		<-f.tokens
-		f.queued.Add(-1)
-	}
-	f.active.Add(1)
-	p.updateGauges()
-	s.state.Store(int32(StateRunning))
-	f.events <- schedEvent{kind: evArrive, s: s}
-	s.runErr = s.execute()
-	f.events <- schedEvent{kind: evDone, s: s, cost: s.lastCost}
-	<-s.done
-	f.active.Add(-1)
-	p.updateGauges()
-	f.tokens <- struct{}{}
-	p.release(s)
-}
-
 // execute runs the session as trial Trial of a -seed Seed tcastsim
 // sweep, through the same trial stack, with the medium wrapper
 // (randomness-free, response-preserving) as the stack's hook between the
@@ -293,11 +267,12 @@ func (s *Session) execute() error {
 	return err
 }
 
-// finish runs on the field's scheduler goroutine once the session's
-// evDone is processed: it assembles the result from the algorithm's
-// outcome and the scheduler's ledger, publishes the verdict onto the obs
-// bus (in scheduler order, so event streams are as deterministic as the
-// schedule), records metrics, and releases waiters.
+// finish runs on the field's scheduler goroutine once the session's last
+// step returns: it assembles the result from the algorithm's outcome and
+// the scheduler's ledger, publishes the verdict onto the obs bus (in
+// scheduler order, so event streams are as deterministic as the
+// schedule), records metrics, returns the admission slots and only then
+// releases waiters, so a client resubmitting on Done finds its slot free.
 func (s *Session) finish(end int64) {
 	p := s.field.pool
 	s.wall = time.Since(s.submitted)
@@ -352,5 +327,6 @@ func (s *Session) finish(end int64) {
 		trial.Put(s.st)
 		s.st, s.sess = nil, nil
 	}
+	p.release(s)
 	close(s.done)
 }

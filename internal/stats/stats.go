@@ -147,8 +147,8 @@ func sortedCopy(sample []float64) []float64 {
 // outside [0, 1].
 //
 // Each call copies and sorts the sample: O(n log n) per quantile. For
-// several quantiles of one sample use Quantiles (one sort), and for
-// large or streaming samples use SeriesSummary (no sort at all).
+// several quantiles of one sample use Quantiles (one sort); for large or
+// streaming samples a sketch.Quantile avoids the sort altogether.
 func Quantile(sample []float64, q float64) float64 {
 	return quantileSorted(sortedCopy(sample), q)
 }

@@ -318,3 +318,55 @@ func TestQuantilesPanicOnBadInput(t *testing.T) {
 	assertPanics("empty sample", func() { Quantiles(nil, 0.5) })
 	assertPanics("q out of range", func() { Quantiles([]float64{1}, 1.5) })
 }
+
+// TestQuantilesSingleSort is the regression test for the quantile cost
+// model: Quantiles must sort exactly once regardless of how many
+// quantiles it returns, while three Quantile calls pay three sorts.
+func TestQuantilesSingleSort(t *testing.T) {
+	sample := make([]float64, 1000)
+	r := rng.New(11)
+	for i := range sample {
+		sample[i] = float64(r.Intn(1 << 20))
+	}
+
+	before := sampleSorts.Load()
+	multi := Quantiles(sample, 0.5, 0.9, 0.99)
+	if got := sampleSorts.Load() - before; got != 1 {
+		t.Fatalf("Quantiles(3 qs) performed %d sorts, want 1", got)
+	}
+
+	before = sampleSorts.Load()
+	single := []float64{Quantile(sample, 0.5), Quantile(sample, 0.9), Quantile(sample, 0.99)}
+	if got := sampleSorts.Load() - before; got != 3 {
+		t.Fatalf("3×Quantile performed %d sorts, want 3", got)
+	}
+	for i := range multi {
+		if multi[i] != single[i] {
+			t.Fatalf("Quantiles[%d]=%v != Quantile=%v", i, multi[i], single[i])
+		}
+	}
+}
+
+// TestQuantilesAllocations pins the allocation budget: one sorted copy
+// plus one result slice for Quantiles, versus a fresh copy per Quantile
+// call.
+func TestQuantilesAllocations(t *testing.T) {
+	sample := make([]float64, 512)
+	for i := range sample {
+		sample[i] = float64((i * 7919) % 997)
+	}
+	multi := testing.AllocsPerRun(50, func() {
+		Quantiles(sample, 0.5, 0.9, 0.99)
+	})
+	if multi > 2 {
+		t.Errorf("Quantiles allocates %v per run, want <= 2 (copy + result)", multi)
+	}
+	per := testing.AllocsPerRun(50, func() {
+		Quantile(sample, 0.5)
+		Quantile(sample, 0.9)
+		Quantile(sample, 0.99)
+	})
+	if per < 3 {
+		t.Errorf("3×Quantile allocates %v per run; the copy-per-call cost model changed, update the docs", per)
+	}
+}
