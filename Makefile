@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzThresholdDecision -fuzztime=30s ./internal/core/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=30s ./internal/faults/
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzParseRules -fuzztime=30s ./internal/obs/
 
 clean:
 	rm -f cover.out bench_output.txt BENCH.json

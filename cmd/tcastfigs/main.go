@@ -28,7 +28,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +35,8 @@ import (
 	"strings"
 	"time"
 
-	"tcast/internal/audit"
 	"tcast/internal/experiment"
 	"tcast/internal/faults"
-	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/stats"
@@ -59,18 +56,14 @@ func main() {
 		out     = flag.String("out", "", "directory to write per-experiment files into (stdout if empty)")
 		list    = flag.Bool("list", false, "list experiment IDs and exit")
 
-		doAudit     = flag.Bool("audit", false, "grade every session against ground truth and print the audit summary")
 		faultsSpec  = flag.String("faults", "", "fault-injection spec stacked above every trial's substrate, e.g. burst=8,frac=0.2,churn=0.01 (figures tolerate the resulting wrong decisions)")
 		retries     = flag.Int("retries", 0, "initiator retry budget per silent poll")
 		backoff     = flag.Int("backoff", 0, "idle slots before each retry")
-		traceOut    = flag.String("trace", "", "write a structured span trace (JSONL, virtual time) of the run to this file")
 		traceSample = flag.Int("trace-sample", 1, "record 1-in-k poll leaf spans per session (k<=1 records all); virtual clock and session counters stay exact")
-		metricsOut  = flag.String("metrics", "", "dump run metrics to this file after the run ('-' = stdout, .prom = Prometheus format)")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /slo and /events (SSE) on this address during the run")
-		pprofDir    = flag.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles for the run into this directory")
 	)
-	var obsCfg obs.Config
-	obsCfg.RegisterFlags(flag.CommandLine)
+	var rc obs.RunConfig
+	rc.RegisterFlags(flag.CommandLine, "run")
 	flag.Parse()
 
 	if *list {
@@ -78,46 +71,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", e.ID, e.Title)
 		}
 		return
-	}
-
-	var reg *metrics.Registry
-	if *metricsOut != "" || *metricsAddr != "" || obsCfg.Enabled() {
-		reg = metrics.New()
-	}
-	// The /events and /slo endpoints need a bus even when no local sink is
-	// configured, so a live -metrics-addr forces the plane on.
-	plane, err := obsCfg.Build(os.Stderr, reg, *metricsAddr != "")
-	if err != nil {
-		fatal(err)
-	}
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, reg, plane)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "tcastfigs: serving metrics on", srv.Addr())
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintln(os.Stderr, "tcastfigs: metrics server:", err)
-			}
-		}()
-		// Runtime attribution (goroutines, heap, GC) is sampled only while
-		// live-serving, so file-dumped registries stay wall-clock-free.
-		stopSampler := obs.StartRuntimeSampler(reg, 0)
-		defer stopSampler()
-	}
-	if *pprofDir != "" {
-		stop, err := metrics.StartProfiles(*pprofDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "tcastfigs: pprof:", err)
-			}
-		}()
 	}
 
 	var exps []experiment.Experiment
@@ -133,26 +86,20 @@ func main() {
 		}
 	}
 
-	var builder *trace.Builder
-	if *traceOut != "" {
-		builder = trace.NewBuilder()
-		builder.SetMeta(
-			trace.StringAttr("cmd", "tcastfigs"),
-			trace.StringAttr("fig", *fig),
-			trace.IntAttr("runs", *runs),
-			trace.Int64Attr("seed", int64(*seed)),
-		)
-	}
-
-	var col *audit.Collector
-	if *doAudit {
-		col = &audit.Collector{}
+	rc.Addr = *metricsAddr
+	run, err := rc.Open("tcastfigs", os.Stdout, os.Stderr,
+		trace.StringAttr("fig", *fig),
+		trace.IntAttr("runs", *runs),
+		trace.Int64Attr("seed", int64(*seed)),
+	)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := experiment.Options{
 		Runs: *runs, Seed: *seed, Workers: *workers,
-		Metrics: reg, Trace: builder, TraceSample: *traceSample,
-		Audit: col, Obs: plane.Bus(),
+		Metrics: run.Registry, Trace: run.Trace, TraceSample: *traceSample,
+		Audit: run.Audit, Obs: run.Plane.Bus(),
 		Retry: query.RetryPolicy{MaxRetries: *retries, Backoff: *backoff},
 	}
 	if *faultsSpec != "" {
@@ -164,16 +111,16 @@ func main() {
 	}
 	for _, e := range exps {
 		start := time.Now()
-		if builder != nil {
-			sp := builder.Begin(trace.KindExperiment, e.ID)
+		if run.Trace != nil {
+			sp := run.Trace.Begin(trace.KindExperiment, e.ID)
 			sp.SetAttr(trace.StringAttr("title", e.Title))
 		}
 		var tab *stats.Table
 		// Label the experiment's CPU samples (phase=<id>) so profiles
 		// attribute time per experiment via -tag_focus.
 		obs.WithPhase(e.ID, func() { tab, err = e.Run(opts) })
-		if builder != nil {
-			builder.End()
+		if run.Trace != nil {
+			run.Trace.End()
 		}
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
@@ -216,23 +163,7 @@ func main() {
 		}
 		fmt.Print(header, "wrote ", path, "\n")
 	}
-	if col != nil {
-		fmt.Print(col.Summary())
-	}
-	if *metricsOut != "" {
-		if err := metrics.DumpToPath(reg, *metricsOut); err != nil {
-			fatal(err)
-		}
-	}
-	if builder != nil {
-		if err := trace.WriteFile(*traceOut, builder.Trace()); err != nil {
-			fatal(err)
-		}
-	}
-	if s := plane.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
-	}
-	if err := plane.Close(); err != nil {
+	if err := run.Close(); err != nil {
 		fatal(err)
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"tcast/internal/audit"
-	"tcast/internal/metrics"
 	"tcast/internal/motelab"
 	"tcast/internal/obs"
 	"tcast/internal/trace"
@@ -30,55 +28,25 @@ func main() {
 		badMote      = flag.Int("badmote", -1, "mote ID with a degraded link (-1: none)")
 		badMiss      = flag.Float64("badmiss", 0.5, "the degraded mote's loss probability")
 		seed         = flag.Uint64("seed", 2011, "random seed")
-
-		doAudit    = flag.Bool("audit", false, "grade every emulated session by replay against the configured truth and print the audit summary")
-		traceOut   = flag.String("trace", "", "write a structured span trace (JSONL, virtual time) of the campaign to this file")
-		metricsOut = flag.String("metrics", "", "dump campaign metrics to this file after the run ('-' = stdout, .prom = Prometheus format)")
-		pprofDir   = flag.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles for the campaign into this directory")
 	)
-	var obsCfg obs.Config
-	obsCfg.RegisterFlags(flag.CommandLine)
+	var rc obs.RunConfig
+	rc.RegisterFlags(flag.CommandLine, "campaign")
 	flag.Parse()
 
-	var reg *metrics.Registry
-	if *metricsOut != "" || obsCfg.Enabled() {
-		reg = metrics.New()
-	}
-	plane, err := obsCfg.Build(os.Stderr, reg, false)
+	run, err := rc.Open("tcastlab", os.Stdout, os.Stderr,
+		trace.IntAttr("participants", *participants),
+		trace.IntAttr("repeats", *repeats),
+		trace.FloatAttr("miss", *miss),
+		trace.Int64Attr("seed", int64(*seed)),
+	)
 	if err != nil {
 		fatal(err)
 	}
-	if *pprofDir != "" {
-		stop, err := metrics.StartProfiles(*pprofDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "tcastlab: pprof:", err)
-			}
-		}()
+	if run.Trace != nil {
+		run.Trace.Begin(trace.KindExperiment, "tcastlab")
 	}
 
-	var builder *trace.Builder
-	if *traceOut != "" {
-		builder = trace.NewBuilder()
-		builder.SetMeta(
-			trace.StringAttr("cmd", "tcastlab"),
-			trace.IntAttr("participants", *participants),
-			trace.IntAttr("repeats", *repeats),
-			trace.FloatAttr("miss", *miss),
-			trace.Int64Attr("seed", int64(*seed)),
-		)
-		builder.Begin(trace.KindExperiment, "tcastlab")
-	}
-
-	var col *audit.Collector
-	if *doAudit {
-		col = &audit.Collector{}
-	}
-
-	cfg := motelab.Config{Participants: *participants, MissProb: *miss, Seed: *seed, Metrics: reg, Trace: builder, Audit: col, Obs: plane.Bus()}
+	cfg := motelab.Config{Participants: *participants, MissProb: *miss, Seed: *seed, Metrics: run.Registry, Trace: run.Trace, Audit: run.Audit, Obs: run.Plane.Bus()}
 	if *badMote >= 0 {
 		if *badMote >= *participants {
 			fatal(fmt.Errorf("badmote %d outside 0..%d", *badMote, *participants-1))
@@ -99,11 +67,6 @@ func main() {
 	curves, agg, err := lab.RunPaperProtocol(*repeats)
 	if err != nil {
 		fatal(err)
-	}
-	if builder != nil {
-		if err := trace.WriteFile(*traceOut, builder.Trace()); err != nil {
-			fatal(err)
-		}
 	}
 
 	fmt.Printf("emulated testbed: %d participants, miss=%.3f, %d runs/config\n\n", *participants, *miss, *repeats)
@@ -133,14 +96,13 @@ func main() {
 		}
 	}
 
-	if col != nil {
-		fmt.Println()
-		fmt.Print(col.Summary())
+	if run.Audit != nil {
+		fmt.Println() // sets off the audit summary Close prints
 	}
-
-	if *metricsOut != "" {
+	if rc.MetricsOut != "" {
 		// Fold the campaign's graded aggregates in next to the per-poll
 		// instruments the lab recorded during the runs.
+		reg := run.Registry
 		reg.Counter("motelab_trials_total").Add(int64(agg.Trials))
 		reg.Counter("motelab_false_positives_total").Add(int64(agg.FalsePositives))
 		reg.Counter("motelab_false_negatives_total").Add(int64(agg.FalseNegatives))
@@ -150,14 +112,8 @@ func main() {
 		for k, missed := range agg.MissedBySuperposition {
 			reg.Counter("motelab_superposed_missed_total", "k", fmt.Sprint(k)).Add(int64(missed))
 		}
-		if err := metrics.DumpToPath(reg, *metricsOut); err != nil {
-			fatal(err)
-		}
 	}
-	if s := plane.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
-	}
-	if err := plane.Close(); err != nil {
+	if err := run.Close(); err != nil {
 		fatal(err)
 	}
 }

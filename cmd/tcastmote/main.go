@@ -12,6 +12,8 @@
 //
 // The controller configures x random positives, stimulates queries over
 // the wire, and prints the graded results.
+// The run outputs (-audit, -trace, -metrics and the obs plane flags)
+// record the controller's runs; -pprof profiles either mode.
 package main
 
 import (
@@ -21,7 +23,6 @@ import (
 	"os"
 	"time"
 
-	"tcast/internal/audit"
 	"tcast/internal/faults"
 	"tcast/internal/metrics"
 	"tcast/internal/mote"
@@ -44,28 +45,18 @@ func main() {
 		seed         = flag.Uint64("seed", 2011, "random seed")
 		timeout      = flag.Duration("timeout", 10*time.Second, "controller mode: per-command reply deadline; 0 waits forever")
 		faultsSpec   = flag.String("faults", "", "serve mode: fault-injection spec for the emulated radio, e.g. burst=8,frac=0.2,churn=0.01")
-
-		doAudit    = flag.Bool("audit", false, "controller mode: grade each decision against the configured -x truth (the wire protocol carries no polls, so wrong decisions stay unattributed)")
-		traceOut   = flag.String("trace", "", "controller mode: write a structured span trace (JSONL, virtual time) of the runs to this file")
-		metricsOut = flag.String("metrics", "", "controller mode: dump session metrics to this file at exit ('-' = stdout, .prom = Prometheus format)")
-		pprofDir   = flag.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles into this directory")
 	)
-	var obsCfg obs.Config
-	obsCfg.RegisterFlags(flag.CommandLine)
+	var rc obs.RunConfig
+	rc.RegisterFlags(flag.CommandLine, "runs")
 	flag.Parse()
 
-	if *pprofDir != "" {
-		stop, err := metrics.StartProfiles(*pprofDir)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "tcastmote: pprof:", err)
-			}
-		}()
+	run, err := rc.Open("tcastmote", os.Stdout, os.Stderr,
+		trace.IntAttr("t", *threshold),
+		trace.IntAttr("runs", *runs),
+	)
+	if err != nil {
+		fatal(err)
 	}
-
 	switch {
 	case *serve != "" && *connect == "":
 		fcfg, err := faults.ParseSpec(*faultsSpec)
@@ -77,11 +68,14 @@ func main() {
 		}
 	case *connect != "" && *serve == "":
 		truth := (*bool)(nil)
-		if *doAudit {
+		if rc.Audit {
 			v := *x >= *threshold
 			truth = &v
 		}
-		if err := runController(*connect, *threshold, *runs, *timeout, *metricsOut, *traceOut, truth, obsCfg); err != nil {
+		if err := runController(*connect, *threshold, *runs, *timeout, truth, run); err != nil {
+			fatal(err)
+		}
+		if err := run.Close(); err != nil {
 			fatal(err)
 		}
 	default:
@@ -141,17 +135,17 @@ func runServer(addr string, participants int, miss float64, x int, seed uint64, 
 }
 
 // runController drives the remote initiator: configure, query repeatedly,
-// summarize. With metricsOut set it additionally records per-run
-// query/round totals into a registry and dumps it at the end — the
-// controller cannot see individual polls over the wire protocol, only the
-// session totals the initiator reports. With traceOut set it renders each
-// run as a session span at backcast cost (3 RCD slots per group query).
-// With truth non-nil it grades every decision against that expected
-// answer; lacking polls, wrong decisions are counted but unattributed.
+// summarize, recording into run's observers for run.Close to write out.
+// The controller cannot see individual polls over the wire protocol, only
+// the session totals the initiator reports: the registry gets per-run
+// query/round totals, and the trace renders each run as a session span at
+// backcast cost (3 RCD slots per group query). With truth non-nil it
+// grades every decision against that expected answer; lacking polls,
+// wrong decisions are counted but unattributed.
 // A positive timeout bounds every wire round trip: a mote that stops
 // replying fails the run (voided in the audit accounting) instead of
 // hanging the controller forever.
-func runController(addr string, threshold, runs int, timeout time.Duration, metricsOut, traceOut string, truth *bool, obsCfg obs.Config) error {
+func runController(addr string, threshold, runs int, timeout time.Duration, truth *bool, run *obs.Run) error {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -160,31 +154,12 @@ func runController(addr string, threshold, runs int, timeout time.Duration, metr
 	c := serial.NewClient(conn)
 	c.Timeout = timeout
 
-	var reg *metrics.Registry
-	if metricsOut != "" || obsCfg.Enabled() {
-		reg = metrics.New()
-	}
-	plane, err := obsCfg.Build(os.Stderr, reg, false)
-	if err != nil {
-		return err
-	}
-	bus := plane.Bus()
-	var builder *trace.Builder
-	if traceOut != "" {
-		builder = trace.NewBuilder()
-		builder.SetMeta(
-			trace.StringAttr("cmd", "tcastmote"),
-			trace.IntAttr("t", threshold),
-			trace.IntAttr("runs", runs),
-		)
+	reg, bus, builder, col := run.Registry, run.Plane.Bus(), run.Trace, run.Audit
+	if builder != nil {
 		builder.Begin(trace.KindExperiment, "tcastmote controller")
 	}
 	if err := c.ConfigureInitiator(threshold); err != nil {
 		return err
-	}
-	var col *audit.Collector
-	if truth != nil {
-		col = &audit.Collector{}
 	}
 	trueCount, totalQueries := 0, 0
 	for i := 0; i < runs; i++ {
@@ -246,23 +221,7 @@ func runController(addr string, threshold, runs int, timeout time.Duration, metr
 	}
 	fmt.Printf("\n%d/%d runs answered true (t=%d); %.1f queries per run\n",
 		trueCount, runs, threshold, float64(totalQueries)/float64(runs))
-	if col != nil {
-		fmt.Print(col.Summary())
-	}
-	if builder != nil {
-		if err := trace.WriteFile(traceOut, builder.Trace()); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		if err := metrics.DumpToPath(reg, metricsOut); err != nil {
-			return err
-		}
-	}
-	if s := plane.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
-	}
-	return plane.Close()
+	return nil
 }
 
 func fatal(err error) {

@@ -18,13 +18,11 @@ import (
 	"runtime"
 	"strconv"
 
-	"tcast/internal/audit"
 	"tcast/internal/baseline"
 	"tcast/internal/bitset"
 	"tcast/internal/experiment"
 	"tcast/internal/fastsim"
 	"tcast/internal/faults"
-	"tcast/internal/metrics"
 	"tcast/internal/obs"
 	"tcast/internal/query"
 	"tcast/internal/rng"
@@ -55,42 +53,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed    = fs.Uint64("seed", 2011, "root random seed")
 		miss    = fs.Float64("miss", 0, "per-reply miss probability (radio irregularity)")
 		dump    = fs.Bool("dump", false, "print a poll-by-poll trace of the sweep's trial 0 before the sweep")
-		doAudit = fs.Bool("audit", false, "grade every session against ground truth and print the audit summary (tcast algorithms only)")
 
 		faultsSpec = fs.String("faults", "", "fault-injection spec, e.g. burst=8,frac=0.2,churn=0.01,skew=0.01 (csma honors the burst process via its drop hook)")
 		retries    = fs.Int("retries", 0, "initiator retry budget per silent poll (tcast algorithms)")
 		backoff    = fs.Int("backoff", 0, "idle slots before each retry")
 
-		traceOut    = fs.String("trace", "", "write a structured span trace (JSONL, virtual time) of the whole sweep to this file")
 		traceSample = fs.Int("trace-sample", 1, "record 1-in-k poll leaf spans per session (k<=1 records all); virtual clock and session counters stay exact")
-		metricsOut  = fs.String("metrics", "", "dump per-poll metrics to this file after the sweep ('-' = stdout, .prom = Prometheus format)")
-		pprofDir    = fs.String("pprof", "", "write cpu/heap/goroutine/mutex/block profiles for the sweep into this directory")
 	)
-	var obsCfg obs.Config
-	obsCfg.RegisterFlags(fs)
+	var rc obs.RunConfig
+	rc.RegisterFlags(fs, "sweep")
 	fs.Parse(args)
 	if *x < 0 || *x > *n {
 		return fmt.Errorf("x=%d outside [0,%d]", *x, *n)
-	}
-
-	var reg *metrics.Registry
-	if *metricsOut != "" || obsCfg.Enabled() {
-		reg = metrics.New()
-	}
-	plane, err := obsCfg.Build(stderr, reg, false)
-	if err != nil {
-		return err
-	}
-	if *pprofDir != "" {
-		stop, err := metrics.StartProfiles(*pprofDir)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintln(stderr, "tcastsim: pprof:", err)
-			}
-		}()
 	}
 
 	cfg := fastsim.DefaultConfig()
@@ -100,33 +74,31 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown model %q", *model)
 	}
 	cfg.MissProb = *miss
-
-	stack := &trial.Stack{
-		Retry:       query.RetryPolicy{MaxRetries: *retries, Backoff: *backoff},
-		Metrics:     reg,
-		TraceSample: *traceSample,
-		Obs:         plane.Bus(),
-	}
 	fcfg, err := faults.ParseSpec(*faultsSpec)
 	if err != nil {
 		return err
 	}
+	out, err := rc.Open("tcastsim", stdout, stderr,
+		trace.StringAttr("alg", *alg),
+		trace.IntAttr("n", *n), trace.IntAttr("t", *t), trace.IntAttr("x", *x),
+		trace.StringAttr("model", *model),
+		trace.Int64Attr("seed", int64(*seed)),
+		trace.IntAttr("runs", *runs),
+	)
+	if err != nil {
+		return err
+	}
+
+	stack := &trial.Stack{
+		Retry:       query.RetryPolicy{MaxRetries: *retries, Backoff: *backoff},
+		Metrics:     out.Registry,
+		Trace:       out.Trace,
+		TraceSample: *traceSample,
+		Audit:       out.Audit,
+		Obs:         out.Plane.Bus(),
+	}
 	if fcfg.Active() {
 		stack.Faults = &fcfg
-	}
-	if *doAudit {
-		stack.Audit = &audit.Collector{}
-	}
-	if *traceOut != "" {
-		stack.Trace = trace.NewBuilder()
-		stack.Trace.SetMeta(
-			trace.StringAttr("cmd", "tcastsim"),
-			trace.StringAttr("alg", *alg),
-			trace.IntAttr("n", *n), trace.IntAttr("t", *t), trace.IntAttr("x", *x),
-			trace.StringAttr("model", *model),
-			trace.Int64Attr("seed", int64(*seed)),
-			trace.IntAttr("runs", *runs),
-		)
 	}
 	trialFn, name, err := buildTrial(*alg, *n, *t, *x, cfg, stack)
 	if err != nil {
@@ -157,9 +129,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if b := stack.Trace; b != nil {
 		b.Graft()
-		if err := trace.WriteFile(*traceOut, b.Trace()); err != nil {
-			return err
-		}
 	}
 	var acc stats.Running
 	for _, v := range values {
@@ -171,18 +140,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		acc.Mean(), acc.CI95(), acc.Min(), acc.Max())
 	qs := stats.Quantiles(values, 0.5, 0.9, 0.99)
 	fmt.Fprintf(stdout, "quantiles: p50=%.0f p90=%.0f p99=%.0f\n", qs[0], qs[1], qs[2])
-	if col := stack.Audit; col != nil {
-		fmt.Fprint(stdout, col.Summary())
-	}
-	if *metricsOut != "" {
-		if err := metrics.DumpToPath(reg, *metricsOut); err != nil {
-			return err
-		}
-	}
-	if s := plane.Summary(); s != "" {
-		fmt.Fprint(stderr, s)
-	}
-	return plane.Close()
+	return out.Close()
 }
 
 // buildTrial returns the per-trial cost function for the selected scheme

@@ -192,12 +192,3 @@ func TextHandler(r *Registry) http.Handler {
 		_ = WriteText(w, r.Snapshot())
 	})
 }
-
-// Serve exposes the registry's Prometheus endpoint at addr/metrics on a
-// managed background server (explicit bind, header timeout, graceful
-// Shutdown — see Server). Intended for the cmd tools' -metrics-addr flag.
-func Serve(addr string, r *Registry) (*Server, error) {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", Handler(r))
-	return StartServer(addr, mux)
-}

@@ -233,7 +233,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, hv)
 	}
 	for name, sm := range r.summaries {
-		s.Summaries = append(s.Summaries, sm.snapshotValue(name))
+		sv := sm.Snapshot()
+		sv.Name = name
+		s.Summaries = append(s.Summaries, sv)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })

@@ -67,24 +67,3 @@ func TestServerBindFailure(t *testing.T) {
 		t.Fatal("double bind should fail at StartServer, not on the error channel")
 	}
 }
-
-// TestServeEndpoint verifies the registry convenience wrapper mounts
-// /metrics on the managed server.
-func TestServeEndpoint(t *testing.T) {
-	reg := New()
-	reg.Counter("tcast_test_total").Inc()
-	srv, err := Serve("127.0.0.1:0", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Shutdown(context.Background())
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "tcast_test_total 1") {
-		t.Fatalf("missing counter in exposition:\n%s", body)
-	}
-}

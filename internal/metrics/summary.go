@@ -39,19 +39,13 @@ func (s *Summary) Observe(v float64) {
 	s.mu.Unlock()
 }
 
-// Count returns the number of observations.
-func (s *Summary) Count() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.q.Count()
-}
-
-// snapshotValue captures the summary for exposition.
-func (s *Summary) snapshotValue(name string) SummaryValue {
+// Snapshot captures the summary (Name left empty): count and moments
+// always, and the p50/p90/p99 quantile points, in that order, once
+// anything was observed.
+func (s *Summary) Snapshot() SummaryValue {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sv := SummaryValue{
-		Name:  name,
 		Count: s.q.Count(),
 		Sum:   s.mom.Sum,
 		Min:   s.mom.Min,

@@ -15,8 +15,8 @@ func TestSummaryObserveAndSnapshot(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		s.Observe(float64(i))
 	}
-	if s.Count() != 1000 {
-		t.Fatalf("count %d", s.Count())
+	if n := s.Snapshot().Count; n != 1000 {
+		t.Fatalf("count %d", n)
 	}
 	snap := r.Snapshot()
 	if len(snap.Summaries) != 1 {

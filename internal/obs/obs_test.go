@@ -291,6 +291,54 @@ func TestParseRules(t *testing.T) {
 	}
 }
 
+// TestParseRulesRejectsNonFinite: every comparison against NaN is false,
+// so a NaN threshold or budget would slip past range checks written as
+// "reject if out of range" and yield a rule that can never fail.
+func TestParseRulesRejectsNonFinite(t *testing.T) {
+	for _, spec := range []string{
+		"maxpolls=5@NaN", "maxslots=10@nan", "minacc=NaN", "minacc=nan",
+		"maxpolls=5@Inf", "maxpolls=5@-Inf", "minacc=Inf", "minacc=-Inf",
+		"minacc=1e-300", // budget 1-1e-300 rounds to 1: the rule could never fail
+	} {
+		if _, _, err := ParseRules(spec); err == nil {
+			t.Errorf("spec %q accepted", spec)
+		}
+	}
+}
+
+// FuzzParseRules: whatever spec ParseRules accepts yields 1..maxRules
+// rules with finite positive thresholds, budgets in [0,1) and a positive
+// window.
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		"maxpolls=96,maxslots=288,minacc=0.99,window=1000", "maxpolls=96@0.01",
+		"minacc=NaN", "maxslots=10@nan", "maxpolls=5@Inf", "window=4,minacc=0.5",
+		"minacc=1e-300", "maxslots=9223372036854775807@0.999",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, window, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		if len(rules) < 1 || len(rules) > maxRules {
+			t.Fatalf("ParseRules(%q) = %d rules", spec, len(rules))
+		}
+		if window <= 0 {
+			t.Fatalf("ParseRules(%q) window = %d", spec, window)
+		}
+		for _, r := range rules {
+			if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) || r.Threshold <= 0 {
+				t.Fatalf("ParseRules(%q) rule %s threshold = %v", spec, r.Name, r.Threshold)
+			}
+			if !(r.Budget >= 0 && r.Budget < 1) {
+				t.Fatalf("ParseRules(%q) rule %s budget = %v", spec, r.Name, r.Budget)
+			}
+		}
+	})
+}
+
 func TestSLOWindowAndTransitions(t *testing.T) {
 	rules, window, err := ParseRules("minacc=0.5,window=4")
 	if err != nil {
@@ -512,9 +560,6 @@ func TestConfigBuild(t *testing.T) {
 	if p.SLO().Healthy() {
 		t.Fatal("slo should be failing")
 	}
-	if !p.Unhealthy() {
-		t.Fatal("plane should report unhealthy")
-	}
 	// The registry sink counted the published events per kind.
 	var counted int64
 	for _, pt := range reg.Snapshot().Counters {
@@ -541,7 +586,7 @@ func TestConfigBuild(t *testing.T) {
 	}
 
 	var nilPlane *Plane
-	if nilPlane.Bus() != nil || nilPlane.Summary() != "" || nilPlane.Close() != nil || nilPlane.Unhealthy() {
+	if nilPlane.Bus() != nil || nilPlane.Summary() != "" || nilPlane.Close() != nil {
 		t.Fatal("nil plane not inert")
 	}
 }

@@ -212,9 +212,3 @@ func (p *Plane) Close() error {
 	}
 	return p.recorder.Err()
 }
-
-// Unhealthy reports whether any SLO rule is currently failing — the
-// cmds' exit-status hook.
-func (p *Plane) Unhealthy() bool {
-	return p != nil && p.slo != nil && !p.slo.Healthy()
-}

@@ -26,41 +26,35 @@ const (
 const sketchExemplars = 8
 
 // SketchSink folds the live verdict stream into constant-memory
-// summaries: mergeable quantile sketches of per-session poll and slot
-// costs, exact moments, and a deterministic slot-weighted reservoir of
-// exemplar sessions. Where the SLO engine answers "is the run healthy",
-// the sketch sink answers "what does the cost distribution look like" —
-// at any N, for any run length, in a few kilobytes.
+// summaries: sketch-backed registry summaries of per-session poll and
+// slot costs (quantiles plus exact moments), and a deterministic
+// slot-weighted reservoir of exemplar sessions. Where the SLO engine
+// answers "is the run healthy", the sketch sink answers "what does the
+// cost distribution look like" — at any N, for any run length, in a few
+// kilobytes.
 //
 // The sink consumes no randomness (reservoir priorities are hashes of
 // the session identity), so enabling it cannot perturb a run.
 type SketchSink struct {
-	mu        sync.Mutex
-	sessions  uint64
-	polls     *sketch.Quantile
-	slots     *sketch.Quantile
-	pollsMom  sketch.Moments
-	slotsMom  sketch.Moments
-	exemplars *sketch.Reservoir
-
-	// Optional registry mirrors: the same observations surfaced as
-	// summary metrics on /metrics text/Prometheus dumps.
-	mPolls, mSlots *metrics.Summary
+	// mu spans both summaries and the reservoir, so a Snapshot is one
+	// consistent cut of the stream.
+	mu           sync.Mutex
+	polls, slots *metrics.Summary
+	exemplars    *sketch.Reservoir
 }
 
-// NewSketchSink returns an empty sink; reg, when non-nil, additionally
-// receives the obs_session_polls/obs_session_slots summaries.
+// NewSketchSink returns an empty sink whose summaries are reg's
+// obs_session_polls/obs_session_slots; a nil reg keeps them in a private
+// registry.
 func NewSketchSink(reg *metrics.Registry) *SketchSink {
-	s := &SketchSink{
-		polls:     sketch.NewQuantile(sketch.DefaultAlpha),
-		slots:     sketch.NewQuantile(sketch.DefaultAlpha),
+	if reg == nil {
+		reg = metrics.New()
+	}
+	return &SketchSink{
+		polls:     reg.Summary(MetricSessionPolls),
+		slots:     reg.Summary(MetricSessionSlots),
 		exemplars: sketch.NewReservoir(sketchExemplars),
 	}
-	if reg != nil {
-		s.mPolls = reg.Summary(MetricSessionPolls)
-		s.mSlots = reg.Summary(MetricSessionSlots)
-	}
-	return s
 }
 
 // OnEvent implements Sink: only session verdicts are summarized.
@@ -68,18 +62,14 @@ func (s *SketchSink) OnEvent(e Event) {
 	if e.Kind != KindSessionVerdict {
 		return
 	}
-	polls := float64(e.Polls)
 	slots := float64(e.Slots)
-	s.mu.Lock()
-	s.sessions++
-	s.polls.Observe(polls)
-	s.slots.Observe(slots)
-	s.pollsMom.Observe(polls)
-	s.slotsMom.Observe(slots)
 	key := sketch.HashString(e.Session)
 	if e.Trial >= 0 {
 		key = sketch.Hash64(key ^ uint64(e.Trial))
 	}
+	s.mu.Lock()
+	s.polls.Observe(float64(e.Polls))
+	s.slots.Observe(slots)
 	s.exemplars.Offer(sketch.Exemplar{
 		Key:    key,
 		Weight: slots + 1, // +1 keeps zero-slot sessions sampleable
@@ -87,10 +77,6 @@ func (s *SketchSink) OnEvent(e Event) {
 		Label:  e.Session,
 	})
 	s.mu.Unlock()
-	if s.mPolls != nil {
-		s.mPolls.Observe(polls)
-		s.mSlots.Observe(slots)
-	}
 }
 
 // QuantileReport is one cost dimension's summary in a SketchReport.
@@ -117,13 +103,15 @@ type SketchReport struct {
 	Exemplars []ExemplarReport `json:"exemplars,omitempty"`
 }
 
-func quantileReport(q *sketch.Quantile, mom sketch.Moments) QuantileReport {
-	if q.Count() == 0 {
+// quantileReport reads one summary's snapshot; its quantile points are
+// p50, p90, p99 in that order.
+func quantileReport(sv metrics.SummaryValue) QuantileReport {
+	if sv.Count == 0 {
 		return QuantileReport{}
 	}
-	vs := q.Values(0.5, 0.9, 0.99)
 	return QuantileReport{
-		Min: mom.Min, P50: vs[0], P90: vs[1], P99: vs[2], Max: mom.Max, Sum: mom.Sum,
+		Min: sv.Min, P50: sv.Quantiles[0].Value, P90: sv.Quantiles[1].Value,
+		P99: sv.Quantiles[2].Value, Max: sv.Max, Sum: sv.Sum,
 	}
 }
 
@@ -131,10 +119,11 @@ func quantileReport(q *sketch.Quantile, mom sketch.Moments) QuantileReport {
 func (s *SketchSink) Snapshot() SketchReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	polls := s.polls.Snapshot()
 	rep := SketchReport{
-		Sessions: s.sessions,
-		Polls:    quantileReport(s.polls, s.pollsMom),
-		Slots:    quantileReport(s.slots, s.slotsMom),
+		Sessions: polls.Count,
+		Polls:    quantileReport(polls),
+		Slots:    quantileReport(s.slots.Snapshot()),
 	}
 	for _, ex := range s.exemplars.Exemplars() {
 		rep.Exemplars = append(rep.Exemplars, ExemplarReport{Session: ex.Label, Slots: ex.Value})

@@ -77,7 +77,9 @@ func ParseRules(spec string) ([]Rule, int, error) {
 		budget := 0.0
 		if hasBudget {
 			b, err := strconv.ParseFloat(budgetStr, 64)
-			if err != nil || b < 0 || b >= 1 {
+			// Negated so NaN, which fails every comparison, is rejected
+			// too: a NaN budget would silently disable the rule.
+			if err != nil || !(b >= 0 && b < 1) {
 				return nil, 0, fmt.Errorf("slo: budget %q must be a fraction in [0,1)", budgetStr)
 			}
 			budget = b
@@ -115,7 +117,9 @@ func ParseRules(spec string) ([]Rule, int, error) {
 				return nil, 0, fmt.Errorf("slo: minacc takes no @budget (its budget is 1-threshold)")
 			}
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f <= 0 || f > 1 {
+			// 1-f rounds to 1 for f below ~1e-16: a budget of 1 can
+			// never be exceeded, so such a rule would never fail.
+			if err != nil || !(f > 0 && f <= 1) || 1-f >= 1 {
 				return nil, 0, fmt.Errorf("slo: minacc %q must be a fraction in (0,1]", val)
 			}
 			rules = append(rules, Rule{
